@@ -2,59 +2,24 @@
 the recursive bijection between them, and two graded partial orders (one by
 descent sets on permutations, one by refinement on partitions) together with
 machinery to verify their structure exhaustively at small sizes.
+
+The names below are the library surface; every other public name is
+imported from its own module.
 """
 
-from .antichains import (
-    chain_cover_profile,
-    check_k_sperner,
-    max_antichain,
-    max_k_antichain_union,
-)
-from .bijection import ncp_to_perm, partition_descent_set, perm_to_ncp
-from .census import (
-    census_to_csv,
-    count_by_descent_set,
-    count_by_descent_set_bruteforce,
-    count_noncrossing_by_minima,
-)
-from .counting import catalan, narayana
-from .descent_sets import (
-    DescentSet,
-    format_descent_set,
-    parse_descent_set,
-    reverse_complement,
-    reverse_complement_mask,
-)
-from .duality import (
-    AntiAutomorphism,
-    check_coarsening,
-    check_self_duality,
-    construct_antiautomorphism,
-    verify_antiautomorphism,
-)
+from .antichains import chain_cover_profile, max_antichain
+from .bijection import ncp_to_perm, perm_to_ncp
+from .census import census_to_csv, count_by_descent_set
+from .duality import check_coarsening, check_self_duality
 from .errors import CapacityError
-from .partitions import (
-    SetPartition,
-    enumerate_ncp,
-    format_partition,
-    is_noncrossing,
-    parse_partition,
-)
-from .permutations import (
-    descent_set,
-    enumerate_av132,
-    format_permutation,
-    is_132_avoiding,
-    parse_permutation,
-)
+from .partitions import SetPartition, enumerate_ncp, format_partition, parse_partition
+from .permutations import enumerate_av132, format_permutation, parse_permutation
 from .poset import (
     GradedPoset,
     build_descent_poset,
     build_refinement_poset,
-    descent_leq,
     poset_to_dot,
     poset_to_json,
-    refinement_leq,
 )
 from .reports import VerificationReport
 from .verify import run_checks
@@ -62,47 +27,27 @@ from .verify import run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntiAutomorphism",
     "CapacityError",
-    "DescentSet",
     "GradedPoset",
     "SetPartition",
     "VerificationReport",
     "build_descent_poset",
     "build_refinement_poset",
-    "catalan",
     "census_to_csv",
     "chain_cover_profile",
     "check_coarsening",
-    "check_k_sperner",
     "check_self_duality",
-    "construct_antiautomorphism",
     "count_by_descent_set",
-    "count_by_descent_set_bruteforce",
-    "count_noncrossing_by_minima",
-    "descent_leq",
-    "descent_set",
     "enumerate_av132",
     "enumerate_ncp",
-    "format_descent_set",
     "format_partition",
     "format_permutation",
-    "is_132_avoiding",
-    "is_noncrossing",
     "max_antichain",
-    "max_k_antichain_union",
-    "narayana",
     "ncp_to_perm",
-    "parse_descent_set",
     "parse_partition",
     "parse_permutation",
-    "partition_descent_set",
     "perm_to_ncp",
     "poset_to_dot",
     "poset_to_json",
-    "refinement_leq",
-    "reverse_complement",
-    "reverse_complement_mask",
     "run_checks",
-    "verify_antiautomorphism",
 ]

@@ -34,19 +34,6 @@ def build_census(n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def count_by_descent_set_bruteforce(n: int, mask: int) -> int:
-    """Single census entry, looked up in the enumeration-backed table.
-
-    >>> count_by_descent_set_bruteforce(4, 0b001)
-    3
-    """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if not 0 <= mask < 1 << (n - 1):
-        raise ValueError(f"descent mask {mask:#b} out of range for n={n}")
-    return build_census(n)[mask]
-
-
 def count_noncrossing_by_minima(n: int, minima: Iterable[int]) -> int:
     """Number of noncrossing partitions of [n] whose set of block minima is
     exactly the given set.

@@ -4,12 +4,13 @@ Subcommands: enumerate (list a family), map (apply the bijection either
 way), poset (DOT/JSON export), census (CSV of counts by descent set), and
 verify (run the check suite).  stdout is reserved for byte-deterministic
 results; timings and errors go to stderr.  Exit status: 0 success, 1 data
-or capacity error or a failed check, 2 usage error.
+or capacity error, unwritable output or a failed check, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import islice
 from typing import Iterable, Sequence
@@ -25,14 +26,14 @@ from .poset import (
     poset_to_dot,
     poset_to_json,
 )
-from .verify import CHECK_BOUNDS, CHECK_ORDER, run_checks
+from .verify import CHECKS, run_checks
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
         raise argparse.ArgumentTypeError("no checks given")
-    known = ("all",) + CHECK_ORDER
+    known = ("all", *CHECKS)
     for name in names:
         if name not in known:
             raise argparse.ArgumentTypeError(
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checks",
         type=_parse_checks,
         default=("all",),
-        help="comma separated subset of: " + ", ".join(("all",) + CHECK_ORDER),
+        help="comma separated subset of: " + ", ".join(("all", *CHECKS)),
     )
     verify.add_argument("--n", type=int, required=True, help="ground size")
     return parser
@@ -152,7 +153,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if "all" in args.checks:
-        names, clamp = CHECK_ORDER, True
+        names, clamp = tuple(CHECKS), True
     else:
         names, clamp = args.checks, False
     reports = run_checks(names, args.n, clamp=clamp)
@@ -178,11 +179,16 @@ _HANDLERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except CapacityError as error:
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as error:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {error}", file=sys.stderr)
         return 1
-    except ValueError as error:
+    except (CapacityError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

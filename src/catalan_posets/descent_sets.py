@@ -10,11 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def full_mask(n: int) -> int:
-    """Mask of the full position set {1, ..., n-1}."""
-    return (1 << (n - 1)) - 1
-
-
 def reverse_complement_mask(n: int, mask: int) -> int:
     """Bit-level reverse complement: position i is in the result iff n-i is absent.
 
@@ -32,11 +27,9 @@ def reverse_complement_mask(n: int, mask: int) -> int:
 class DescentSet:
     """A set of descent positions of a permutation of [n].
 
-    >>> s = DescentSet.from_positions(8, [1, 4, 6])
+    >>> s = DescentSet(8, 0b101001)
     >>> s.positions()
     (1, 4, 6)
-    >>> 4 in s
-    True
     >>> len(s)
     3
     >>> str(s)
@@ -54,71 +47,11 @@ class DescentSet:
                 f"mask {self.mask:#x} does not fit the position range 1..{self.n - 1}"
             )
 
-    @classmethod
-    def from_positions(cls, n: int, positions) -> DescentSet:
-        mask = 0
-        for i in positions:
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"position {i} outside 1..{n - 1}")
-            mask |= 1 << (i - 1)
-        return cls(n, mask)
-
     def positions(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n) if (self.mask >> (i - 1)) & 1)
-
-    def __contains__(self, position: int) -> bool:
-        return 1 <= position <= self.n - 1 and bool((self.mask >> (position - 1)) & 1)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def is_subset_of(self, other: DescentSet) -> bool:
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return self.mask & ~other.mask == 0
-
-    def reverse_complement(self) -> DescentSet:
-        """The set {i : n-i not in self}.
-
-        An involution exchanging the empty set with the full set:
-
-        >>> DescentSet.from_positions(8, [1, 4, 6]).reverse_complement().positions()
-        (1, 3, 5, 6)
-        >>> DescentSet(5, 0).reverse_complement().positions()
-        (1, 2, 3, 4)
-        """
-        return DescentSet(self.n, reverse_complement_mask(self.n, self.mask))
-
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self.positions()) + "}"
-
-
-def reverse_complement(s: DescentSet) -> DescentSet:
-    return s.reverse_complement()
-
-
-def format_descent_set(s: DescentSet) -> str:
-    """Render as ``{1,4,6}`` (``{}`` for the empty set)."""
-    return str(s)
-
-
-def parse_descent_set(text: str, n: int) -> DescentSet:
-    """Parse the ``{1,4,6}`` form produced by format_descent_set.
-
-    >>> parse_descent_set("{1,4,6}", 8).positions()
-    (1, 4, 6)
-    >>> parse_descent_set("{}", 3).positions()
-    ()
-    """
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"malformed descent set text: {text!r}")
-    body = text[1:-1]
-    if not body:
-        return DescentSet(n, 0)
-    try:
-        positions = [int(part) for part in body.split(",")]
-    except ValueError:
-        raise ValueError(f"malformed descent set text: {text!r}") from None
-    if positions != sorted(set(positions)):
-        raise ValueError(f"positions must be strictly increasing: {text!r}")
-    return DescentSet.from_positions(n, positions)

@@ -10,8 +10,6 @@ order within classes, reverses every comparison.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Sequence
 
 from .bijection import partition_descent_set
 from .descent_sets import reverse_complement_mask
@@ -45,32 +43,16 @@ def check_coarsening(n: int) -> VerificationReport:
     )
 
 
-@dataclass(frozen=True)
-class AntiAutomorphism:
-    """A self-map of poset element indices intended to reverse the order."""
-
-    n: int
-    mapping: tuple[int, ...]
-
-    def __call__(self, index: int) -> int:
-        return self.mapping[index]
-
-    def is_involution(self) -> bool:
-        return all(self.mapping[j] == i for i, j in enumerate(self.mapping))
-
-
-def construct_antiautomorphism(poset: GradedPoset) -> AntiAutomorphism:
-    """Build the order-reversing pairing of the descent poset.
+def construct_antiautomorphism(poset: GradedPoset) -> tuple[int, ...]:
+    """Build the order-reversing pairing of the descent poset, as the tuple
+    whose entry i is the index paired with element i.
 
     Elements are grouped by descent set; the class of S is matched to the
     class of the reverse complement of S, members paired by lexicographic
     rank.  A class size mismatch would falsify the counting symmetry the
     pairing rests on, so it raises rather than returning a partial map.
 
-    >>> auto = construct_antiautomorphism(build_descent_poset(4))
-    >>> auto.is_involution()
-    True
-    >>> auto(0)     # 1234 pairs with 4321
+    >>> construct_antiautomorphism(build_descent_poset(4))[0]   # 1234 pairs with 4321
     13
     """
     if poset.family != "P":
@@ -89,27 +71,7 @@ def construct_antiautomorphism(poset: GradedPoset) -> AntiAutomorphism:
             )
         for source, target in zip(members, targets):
             mapping[source] = target
-    return AntiAutomorphism(poset.n, tuple(mapping))
-
-
-def verify_antiautomorphism(poset: GradedPoset, mapping: Sequence[int]) -> bool:
-    """True iff mapping is a bijection on indices and reverses every
-    comparison: i <= j exactly when mapping[j] <= mapping[i].
-
-    >>> P2 = build_descent_poset(2)
-    >>> verify_antiautomorphism(P2, (1, 0))
-    True
-    >>> verify_antiautomorphism(P2, (0, 1))   # identity preserves, not reverses
-    False
-    """
-    if sorted(mapping) != list(range(poset.size)):
-        return False
-    for i in range(poset.size):
-        mi = mapping[i]
-        for j in range(poset.size):
-            if poset.leq(i, j) != poset.leq(mapping[j], mi):
-                return False
-    return True
+    return tuple(mapping)
 
 
 def check_self_duality(n: int) -> VerificationReport:
@@ -120,14 +82,13 @@ def check_self_duality(n: int) -> VerificationReport:
     violations: list[str] = []
     examined = 0
     try:
-        auto = construct_antiautomorphism(poset)
+        mapping = construct_antiautomorphism(poset)
     except RuntimeError as exc:
         return VerificationReport(
             "selfdual", n, 0, (str(exc),), time.perf_counter() - start
         )
-    if not auto.is_involution():
+    if any(mapping[j] != i for i, j in enumerate(mapping)):
         violations.append("pairing is not an involution")
-    mapping = auto.mapping
     for i in range(poset.size):
         mi = mapping[i]
         for j in range(poset.size):

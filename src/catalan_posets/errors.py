@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception type and the size caps of every operation."""
 
 from __future__ import annotations
 
@@ -10,3 +10,41 @@ class CapacityError(Exception):
     only signals that an input is too large for the implementation, not that it
     is malformed.
     """
+
+
+#: Largest n each size-limited operation supports.  Enumeration is cached
+#: per level, so its cap also bounds the memory repeated calls hold; poset
+#: construction holds one bit row per element.  A "check" entry is the
+#: largest size at which that check stays exhaustive within an interactive
+#: budget.  The last three are sizes inside a check: the lemma check
+#: compares the recursive counter with the census entry by entry only up
+#: to its entry, and the sperner suite runs its two heavier parts at the
+#: smaller of their entry and its own size.
+CAPACITY = {
+    "enumeration": 12,
+    "poset construction": 9,
+    "check coarsening": 8,
+    "check ranks": 9,
+    "check lemma": 12,
+    "check selfdual": 7,
+    "check sperner": 8,
+    "lemma recursion agreement": 9,
+    "sperner-dk": 6,
+    "sperner-transfer": 7,
+}
+
+
+def check_capacity(operation: str, n: int) -> None:
+    """Raise CapacityError unless 1 <= n <= CAPACITY[operation].
+
+    >>> check_capacity("enumeration", 12)
+    >>> check_capacity("poset construction", 0)
+    Traceback (most recent call last):
+    ...
+    catalan_posets.errors.CapacityError: n must be at least 1, got 0
+    """
+    if n < 1:
+        raise CapacityError(f"n must be at least 1, got {n}")
+    cap = CAPACITY[operation]
+    if n > cap:
+        raise CapacityError(f"{operation} supports n up to {cap}, got {n}")

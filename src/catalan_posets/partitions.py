@@ -9,13 +9,9 @@ noncrossing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import CapacityError
-
-#: Largest n accepted by enumerate_ncp.
-MAX_ENUM_N = 12
+from .errors import check_capacity
 
 
 @dataclass(frozen=True)
@@ -68,12 +64,6 @@ class SetPartition:
             n = sum(len(block) for block in canonical)
         return cls(n, canonical)
 
-    def block_containing(self, x: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if x in block:
-                return block
-        raise ValueError(f"element {x} outside 1..{self.n}")
-
     def __str__(self) -> str:
         return format_partition(self)
 
@@ -116,18 +106,6 @@ def is_noncrossing(partition: SetPartition) -> bool:
     return True
 
 
-def is_noncrossing_bruteforce(partition: SetPartition) -> bool:
-    """Quadruple scan straight from the definition; oracle for the stack test."""
-    owner = {}
-    for index, block in enumerate(partition.blocks):
-        for x in block:
-            owner[x] = index
-    for a, b, c, d in combinations(range(1, partition.n + 1), 4):
-        if owner[a] == owner[c] and owner[b] == owner[d] and owner[a] != owner[b]:
-            return False
-    return True
-
-
 def enumerate_ncp(n: int) -> Iterator[SetPartition]:
     """All noncrossing partitions of [n], ordered by their restricted growth
     strings (the block index of 1, 2, ..., n in turn), lexicographically.
@@ -141,10 +119,7 @@ def enumerate_ncp(n: int) -> Iterator[SetPartition]:
     >>> [str(q) for q in enumerate_ncp(3)]
     ['{1,2,3}', '{1,2}/{3}', '{1,3}/{2}', '{1}/{2,3}', '{1}/{2}/{3}']
     """
-    if n < 1:
-        raise CapacityError(f"n must be at least 1, got {n}")
-    if n > MAX_ENUM_N:
-        raise CapacityError(f"enumeration supports n up to {MAX_ENUM_N}, got {n}")
+    check_capacity("enumeration", n)
     return _stream_ncp(n)
 
 

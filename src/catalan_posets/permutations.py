@@ -11,11 +11,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .descent_sets import DescentSet
-from .errors import CapacityError
-
-#: Largest n accepted by enumerate_av132.  Enumeration is cached per level,
-#: so this also bounds memory held by repeated calls.
-MAX_ENUM_N = 12
+from .errors import check_capacity
 
 
 def check_permutation(entries: Sequence[int]) -> tuple[int, ...]:
@@ -64,20 +60,6 @@ def is_132_avoiding(entries: Sequence[int]) -> bool:
     return True
 
 
-def is_132_avoiding_bruteforce(entries: Sequence[int]) -> bool:
-    """Cubic test straight from the pattern definition; oracle for the fast scan."""
-    p = check_permutation(entries)
-    n = len(p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if p[i] >= p[j]:
-                continue
-            for k in range(j + 1, n):
-                if p[i] < p[k] < p[j]:
-                    return False
-    return True
-
-
 def descent_mask(entries: Sequence[int]) -> int:
     """Bit mask of descent positions (bit i-1 set iff p[i] > p[i+1])."""
     mask = 0
@@ -97,25 +79,6 @@ def descent_set(entries: Sequence[int]) -> DescentSet:
     return DescentSet(len(p), descent_mask(p))
 
 
-def left_to_right_minima_positions(entries: Sequence[int]) -> tuple[int, ...]:
-    """Positions holding a value smaller than everything before it.
-
-    Position 1 always qualifies.  For a 132-avoiding permutation these are
-    exactly position 1 plus the successors of the descent positions.
-
-    >>> left_to_right_minima_positions((6, 4, 5, 7, 3, 8, 1, 2))
-    (1, 2, 5, 7)
-    """
-    p = check_permutation(entries)
-    out = []
-    running_min = len(p) + 1
-    for j, x in enumerate(p, start=1):
-        if x < running_min:
-            out.append(j)
-            running_min = x
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _av132_sorted(n: int) -> tuple[tuple[int, ...], ...]:
     # Every 132-avoider splits at the position of n: entries to the left of n
@@ -133,13 +96,6 @@ def _av132_sorted(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _check_enum_bound(n: int) -> None:
-    if n < 1:
-        raise CapacityError(f"n must be at least 1, got {n}")
-    if n > MAX_ENUM_N:
-        raise CapacityError(f"enumeration supports n up to {MAX_ENUM_N}, got {n}")
-
-
 def enumerate_av132(n: int) -> Iterator[tuple[int, ...]]:
     """All 132-avoiding permutations of [n] in lexicographic order.
 
@@ -148,7 +104,7 @@ def enumerate_av132(n: int) -> Iterator[tuple[int, ...]]:
     >>> list(enumerate_av132(3))
     [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
-    _check_enum_bound(n)
+    check_capacity("enumeration", n)
     return iter(_av132_sorted(n))
 
 

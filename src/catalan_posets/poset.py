@@ -16,19 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .errors import CapacityError
+from .errors import check_capacity
 from .partitions import SetPartition, enumerate_ncp, format_partition
-from .permutations import (
-    check_permutation,
-    descent_mask,
-    enumerate_av132,
-    format_permutation,
-)
-
-#: Largest n for which the poset builders will run.
-MAX_POSET_N = 9
+from .permutations import descent_mask, enumerate_av132, format_permutation
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -37,45 +29,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def descent_leq(p: Sequence[int], q: Sequence[int]) -> bool:
-    """Descent order: equal, or descent set properly inside the other's.
-
-    >>> descent_leq((2, 1, 3, 4), (3, 2, 1, 4))
-    True
-    >>> descent_leq((2, 1, 3, 4), (1, 3, 2, 4))
-    False
-    >>> descent_leq((2, 1, 3, 4), (3, 1, 2, 4))   # same descent set
-    False
-    """
-    a = check_permutation(p)
-    b = check_permutation(q)
-    if len(a) != len(b):
-        raise ValueError(f"cannot compare permutations of [{len(a)}] and [{len(b)}]")
-    if a == b:
-        return True
-    da = descent_mask(a)
-    db = descent_mask(b)
-    return da != db and da & db == da
-
-
-def refinement_leq(a: SetPartition, b: SetPartition) -> bool:
-    """Refinement order: every block of a lies inside a block of b.
-
-    >>> from .partitions import parse_partition
-    >>> refinement_leq(parse_partition("{1}/{2,3}"), parse_partition("{1,2,3}"))
-    True
-    >>> refinement_leq(parse_partition("{1,2}/{3}"), parse_partition("{1}/{2,3}"))
-    False
-    """
-    if a.n != b.n:
-        raise ValueError(f"cannot compare partitions of [{a.n}] and [{b.n}]")
-    owner = {}
-    for index, block in enumerate(b.blocks):
-        for x in block:
-            owner[x] = index
-    return all(owner[block[0]] == owner[x] for block in a.blocks for x in block)
 
 
 @dataclass(frozen=True)
@@ -122,13 +75,6 @@ class GradedPoset:
         return format_permutation(element)
 
 
-def _check_poset_bound(n: int) -> None:
-    if n < 1:
-        raise CapacityError(f"n must be at least 1, got {n}")
-    if n > MAX_POSET_N:
-        raise CapacityError(f"poset construction supports n up to {MAX_POSET_N}, got {n}")
-
-
 @lru_cache(maxsize=None)
 def build_descent_poset(n: int) -> GradedPoset:
     """The descent order on 132-avoiding permutations of [n], listed
@@ -139,7 +85,7 @@ def build_descent_poset(n: int) -> GradedPoset:
     >>> sum(1 for _ in build_descent_poset(4).covers())
     38
     """
-    _check_poset_bound(n)
+    check_capacity("poset construction", n)
     elements = tuple(enumerate_av132(n))
     masks = [descent_mask(p) for p in elements]
     universe = 1 << (n - 1)
@@ -158,7 +104,8 @@ def build_descent_poset(n: int) -> GradedPoset:
     )
     # every descent set is realized, so the covers are exactly the pairs
     # whose masks differ by a single added descent
-    assert all(fiber[s] for s in range(universe))
+    if not all(fiber):
+        raise RuntimeError(f"a descent set of [{n}] has no 132-avoiding permutation")
     cover_rows = tuple(
         sum(fiber[m | (1 << b)] for b in range(n - 1) if not m >> b & 1)
         for m in masks
@@ -177,7 +124,7 @@ def build_refinement_poset(n: int) -> GradedPoset:
     >>> sum(1 for _ in build_refinement_poset(4).covers())
     28
     """
-    _check_poset_bound(n)
+    check_capacity("poset construction", n)
     elements = tuple(enumerate_ncp(n))
     index = {q.blocks: i for i, q in enumerate(elements)}
     ranks = tuple(n - len(q.blocks) for q in elements)
@@ -206,34 +153,6 @@ def build_refinement_poset(n: int) -> GradedPoset:
     return GradedPoset("Q", n, elements, ranks, tuple(up), tuple(cover_rows))
 
 
-def transitive_reduction(
-    leq_rows: Sequence[int], ranks: Sequence[int]
-) -> tuple[int, ...]:
-    """Cover rows of an arbitrary partial order given as bitset rows.
-
-    For each element the candidates above it are scanned rank layer by
-    rank layer while accumulating everything reachable through an earlier
-    candidate; a candidate already in the accumulator is skipped, and
-    contributes nothing new since whatever sits above it arrived with its
-    witness.  The scan order only affects speed, not the result.
-    """
-    size = len(leq_rows)
-    height = max(ranks, default=0) + 1
-    layers = [0] * height
-    for i, r in enumerate(ranks):
-        layers[r] |= 1 << i
-    rows = []
-    for i in range(size):
-        strict = leq_rows[i] & ~(1 << i)
-        reached = 0
-        for r in range(ranks[i] + 1, height):
-            for z in iter_bits(strict & layers[r]):
-                if not reached >> z & 1:
-                    reached |= leq_rows[z] & ~(1 << z)
-        rows.append(strict & ~reached)
-    return tuple(rows)
-
-
 def poset_to_json(poset: GradedPoset) -> str:
     """JSON document with element labels, rank sizes and cover pairs."""
     payload = {
@@ -248,13 +167,14 @@ def poset_to_json(poset: GradedPoset) -> str:
 
 def poset_to_dot(poset: GradedPoset) -> str:
     """Graphviz rendering of the cover relation, one rank per layer."""
+    labels = [poset.label(i) for i in range(poset.size)]
     lines = [f"digraph {poset.family}{poset.n} {{", "  rankdir=BT;"]
     for r in range(poset.height):
         members = " ".join(
-            f'"{poset.label(i)}";' for i in range(poset.size) if poset.ranks[i] == r
+            f'"{labels[i]}";' for i in range(poset.size) if poset.ranks[i] == r
         )
         lines.append(f"  {{ rank=same; {members} }}")
     for i, j in poset.covers():
-        lines.append(f'  "{poset.label(i)}" -> "{poset.label(j)}";')
+        lines.append(f'  "{labels[i]}" -> "{labels[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""The named verification checks behind the CLI, with their size caps.
+"""The named verification checks behind the CLI; their caps are in CAPACITY.
 
 Each check is exhaustive at its scale and returns reports whose violation
 lists are expected to be empty.  Caps reflect where exhaustive checking
@@ -17,26 +17,9 @@ from .census import build_census, count_by_descent_set
 from .counting import catalan, narayana
 from .descent_sets import DescentSet, reverse_complement_mask
 from .duality import check_coarsening, check_self_duality
-from .errors import CapacityError
+from .errors import CAPACITY, check_capacity
 from .poset import build_descent_poset, build_refinement_poset
 from .reports import VerificationReport, note_violation
-
-CHECK_BOUNDS = {
-    "coarsening": 8,
-    "ranks": 9,
-    "lemma": 12,
-    "selfdual": 7,
-    "sperner": 8,
-}
-CHECK_ORDER = ("coarsening", "ranks", "lemma", "selfdual", "sperner")
-
-#: Within the lemma check, the recursive counter is compared entry by
-#: entry against the census up to this size; above it only the
-#: reverse-complement symmetry of the census is tested.
-RECURSION_AGREEMENT_BOUND = 9
-#: Within the sperner suite, scales of the two heavier sub-checks.
-DK_BOUND = 6
-TRANSFER_BOUND = 7
 
 
 def _is_unimodal(seq: Sequence[int]) -> bool:
@@ -75,7 +58,7 @@ def check_census_symmetry(n: int) -> VerificationReport:
     start = time.perf_counter()
     census = build_census(n)
     violations: list[str] = []
-    compare_recursion = n <= RECURSION_AGREEMENT_BOUND
+    compare_recursion = n <= CAPACITY["lemma recursion agreement"]
     for mask, count in enumerate(census):
         partner = reverse_complement_mask(n, mask)
         if count != census[partner]:
@@ -117,7 +100,7 @@ def check_sperner_suite(n: int) -> list[VerificationReport]:
         )
     )
 
-    dk_n = min(n, DK_BOUND)
+    dk_n = min(n, CAPACITY["sperner-dk"])
     start = time.perf_counter()
     violations = []
     dk_poset = build_descent_poset(dk_n)
@@ -130,7 +113,7 @@ def check_sperner_suite(n: int) -> list[VerificationReport]:
         )
     )
 
-    transfer_n = min(n, TRANSFER_BOUND)
+    transfer_n = min(n, CAPACITY["sperner-transfer"])
     start = time.perf_counter()
     violations = []
     p_poset = build_descent_poset(transfer_n)
@@ -162,6 +145,17 @@ def check_sperner_suite(n: int) -> list[VerificationReport]:
     return reports
 
 
+#: Each named check, in the order the "all" suite runs them; the cap of
+#: check `name` is CAPACITY["check " + name].  sperner yields three reports.
+CHECKS = {
+    "coarsening": check_coarsening,
+    "ranks": check_rank_statistics,
+    "lemma": check_census_symmetry,
+    "selfdual": check_self_duality,
+    "sperner": check_sperner_suite,
+}
+
+
 def run_checks(
     names: Sequence[str], n: int, clamp: bool = False
 ) -> list[VerificationReport]:
@@ -171,24 +165,14 @@ def run_checks(
     error; with clamp=True (the "all" suite) each check runs at the
     largest size it supports, at most n.
     """
-    if n < 1:
-        raise CapacityError(f"n must be at least 1, got {n}")
     reports: list[VerificationReport] = []
     for name in names:
-        bound = CHECK_BOUNDS.get(name)
-        if bound is None:
+        check = CHECKS.get(name)
+        if check is None:
             raise ValueError(f"unknown check {name!r}")
-        use = min(n, bound) if clamp else n
-        if use > bound:
-            raise CapacityError(f"check {name} supports n up to {bound}, got {n}")
-        if name == "coarsening":
-            reports.append(check_coarsening(use))
-        elif name == "ranks":
-            reports.append(check_rank_statistics(use))
-        elif name == "lemma":
-            reports.append(check_census_symmetry(use))
-        elif name == "selfdual":
-            reports.append(check_self_duality(use))
-        else:
-            reports.extend(check_sperner_suite(use))
+        operation = "check " + name
+        use = min(n, CAPACITY[operation]) if clamp else n
+        check_capacity(operation, use)
+        result = check(use)
+        reports.extend(result if isinstance(result, list) else [result])
     return reports

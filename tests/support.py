@@ -200,3 +200,66 @@ def has_antichain_of_size(poset, members: Sequence[int], k: int) -> bool:
         ):
             return True
     return False
+
+
+def reverses_order(poset, mapping: Sequence[int]) -> bool:
+    """mapping is a bijection on element indices and i <= j holds exactly
+    when mapping[j] <= mapping[i]."""
+    if sorted(mapping) != list(range(poset.size)):
+        return False
+    return all(
+        poset.leq(i, j) == poset.leq(mapping[j], mapping[i])
+        for i in range(poset.size)
+        for j in range(poset.size)
+    )
+
+
+def left_to_right_minima_positions(entries: Sequence[int]) -> tuple[int, ...]:
+    """Positions holding a value smaller than everything before it.
+
+    Position 1 always qualifies.  For a 132-avoiding permutation these are
+    exactly position 1 plus the successors of the descent positions.
+    """
+    out = []
+    running_min = len(entries) + 1
+    for j, x in enumerate(entries, start=1):
+        if x < running_min:
+            out.append(j)
+            running_min = x
+    return tuple(out)
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def transitive_reduction(
+    leq_rows: Sequence[int], ranks: Sequence[int]
+) -> tuple[int, ...]:
+    """Cover rows of an arbitrary partial order given as bitset rows.
+
+    For each element the candidates above it are scanned rank layer by
+    rank layer while accumulating everything reachable through an earlier
+    candidate; a candidate already in the accumulator is skipped, and
+    contributes nothing new since whatever sits above it arrived with its
+    witness.  The scan order only affects speed, not the result.
+    """
+    size = len(leq_rows)
+    height = max(ranks, default=0) + 1
+    layers = [0] * height
+    for i, r in enumerate(ranks):
+        layers[r] |= 1 << i
+    rows = []
+    for i in range(size):
+        strict = leq_rows[i] & ~(1 << i)
+        reached = 0
+        for r in range(ranks[i] + 1, height):
+            for z in iter_bits(strict & layers[r]):
+                if not reached >> z & 1:
+                    reached |= leq_rows[z] & ~(1 << z)
+        rows.append(strict & ~reached)
+    return tuple(rows)

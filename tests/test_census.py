@@ -7,7 +7,6 @@ from catalan_posets.census import (
     build_census,
     census_to_csv,
     count_by_descent_set,
-    count_by_descent_set_bruteforce,
     count_noncrossing_by_minima,
 )
 from catalan_posets.counting import catalan
@@ -24,7 +23,6 @@ def test_census_matches_symmetric_group_filter():
         census = build_census(n)
         for mask in range(1 << (n - 1)):
             assert census[mask] == expected[mask]
-            assert count_by_descent_set_bruteforce(n, mask) == expected[mask]
 
 
 def test_census_totals_are_catalan():
@@ -101,8 +99,6 @@ def test_counters_reject_bad_masks():
         count_by_descent_set(4, -1)
     with pytest.raises(ValueError):
         count_by_descent_set(4, 8)
-    with pytest.raises(ValueError):
-        count_by_descent_set_bruteforce(4, 8)
 
 
 def test_census_capacity():

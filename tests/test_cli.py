@@ -228,3 +228,34 @@ def test_module_entry_point_bytes_stable():
     first = subprocess.run(command, capture_output=True).stdout
     second = subprocess.run(command, capture_output=True).stdout
     assert first and first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--n", "3"],
+        ["poset", "P", "--n", "3", "--format", "dot"],
+        ["enumerate", "av132", "--n", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_closed_pipe_is_one_error_line():
+    with subprocess.Popen(
+        [sys.executable, "-m", "catalan_posets", "enumerate", "ncp", "--n", "12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as process:
+        assert process.stdout.readline() == b"{1,2,3,4,5,6,7,8,9,10,11,12}\n"
+        process.stdout.close()
+        err = process.stderr.read().decode()
+        assert process.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1

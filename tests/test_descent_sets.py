@@ -1,27 +1,14 @@
 import pytest
 
-from catalan_posets.descent_sets import (
-    DescentSet,
-    format_descent_set,
-    full_mask,
-    parse_descent_set,
-    reverse_complement_mask,
-)
-
-
-def test_full_mask():
-    assert full_mask(1) == 0
-    assert full_mask(4) == 0b111
-    assert full_mask(8) == 0b1111111
+from catalan_posets.descent_sets import DescentSet, reverse_complement_mask
 
 
 def test_positions_round_trip():
-    s = DescentSet.from_positions(8, [6, 1, 4])
+    s = DescentSet(8, 0b101001)
     assert s.positions() == (1, 4, 6)
-    assert s.mask == 0b101001
-    assert 4 in s and 5 not in s
-    assert 0 not in s and 9 not in s
     assert len(s) == 3
+    assert str(s) == "{1,4,6}"
+    assert str(DescentSet(3, 0)) == "{}"
 
 
 def test_mask_bounds_enforced():
@@ -31,30 +18,17 @@ def test_mask_bounds_enforced():
         DescentSet(4, -1)
     with pytest.raises(ValueError):
         DescentSet(0, 0)
-    with pytest.raises(ValueError):
-        DescentSet.from_positions(4, [4])
     # n = 1 has no legal positions at all
     assert DescentSet(1, 0).positions() == ()
-
-
-def test_subset_relation():
-    a = DescentSet.from_positions(5, [2])
-    b = DescentSet.from_positions(5, [1, 2])
-    assert a.is_subset_of(b)
-    assert not b.is_subset_of(a)
-    assert a.is_subset_of(a)
-    with pytest.raises(ValueError):
-        a.is_subset_of(DescentSet(4, 0))
 
 
 def test_reverse_complement_examples():
     # {1,4,6} in size 8: absent positions are {2,3,5,7}; 8-i over those
     # gives {1,3,5,6}.
-    s = DescentSet.from_positions(8, [1, 4, 6])
-    assert s.reverse_complement().positions() == (1, 3, 5, 6)
+    assert DescentSet(8, reverse_complement_mask(8, 0b101001)).positions() == (1, 3, 5, 6)
     # empty and full sets swap
-    assert DescentSet(5, 0).reverse_complement().mask == full_mask(5)
-    assert DescentSet(5, full_mask(5)).reverse_complement().mask == 0
+    assert reverse_complement_mask(5, 0) == 0b1111
+    assert reverse_complement_mask(5, 0b1111) == 0
 
 
 def test_reverse_complement_is_involution_exhaustive():
@@ -68,22 +42,7 @@ def test_reverse_complement_is_involution_exhaustive():
 def test_reverse_complement_set_version_matches_mask_version():
     for n in range(1, 8):
         for mask in range(1 << (n - 1)):
-            s = DescentSet(n, mask)
-            image = {n - i for i in range(1, n) if i not in s.positions()}
-            assert set(s.reverse_complement().positions()) == image
-
-
-def test_format_and_parse():
-    s = DescentSet.from_positions(8, [1, 4, 6])
-    assert format_descent_set(s) == "{1,4,6}"
-    assert parse_descent_set("{1,4,6}", 8) == s
-    assert parse_descent_set("{}", 3).mask == 0
-    assert format_descent_set(DescentSet(3, 0)) == "{}"
-
-
-def test_parse_rejects_malformed():
-    for bad in ["1,4,6", "{1,4,6", "1,4,6}", "{a}", "{2,1}", "{1,1}", "{1, }"]:
-        with pytest.raises(ValueError):
-            parse_descent_set(bad, 8)
-    with pytest.raises(ValueError):
-        parse_descent_set("{7}", 7)
+            positions = DescentSet(n, mask).positions()
+            image = {n - i for i in range(1, n) if i not in positions}
+            rc = DescentSet(n, reverse_complement_mask(n, mask))
+            assert set(rc.positions()) == image

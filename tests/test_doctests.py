@@ -1,41 +1,20 @@
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-from catalan_posets import (
-    antichains,
-    bijection,
-    census,
-    cli,
-    counting,
-    descent_sets,
-    duality,
-    errors,
-    partitions,
-    permutations,
-    poset,
-    reports,
-    verify,
-)
+import catalan_posets
 
+# every module of the package; __main__ would run the CLI on import
 MODULES = [
-    antichains,
-    bijection,
-    census,
-    cli,
-    counting,
-    descent_sets,
-    duality,
-    errors,
-    partitions,
-    permutations,
-    poset,
-    reports,
-    verify,
+    f"catalan_posets.{info.name}"
+    for info in pkgutil.iter_modules(catalan_posets.__path__)
+    if info.name != "__main__"
 ]
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
-def test_doctests(module):
-    result = doctest.testmod(module)
+@pytest.mark.parametrize("name", MODULES)
+def test_doctests(name):
+    result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0

@@ -3,11 +3,9 @@ import pytest
 import support
 from catalan_posets.counting import catalan
 from catalan_posets.duality import (
-    AntiAutomorphism,
     check_coarsening,
     check_self_duality,
     construct_antiautomorphism,
-    verify_antiautomorphism,
 )
 from catalan_posets.permutations import format_permutation
 from catalan_posets.poset import build_descent_poset, build_refinement_poset
@@ -21,9 +19,9 @@ def test_pairing_on_size_four():
     # the three descent-at-1 elements pair with the three descent-{1,2}
     # elements, matched in lexicographic order within each class
     poset = build_descent_poset(4)
-    auto = construct_antiautomorphism(poset)
+    mapping = construct_antiautomorphism(poset)
     names = labels(poset)
-    image = {names[i]: names[auto(i)] for i in range(poset.size)}
+    image = {names[i]: names[mapping[i]] for i in range(poset.size)}
     assert image["1234"] == "4321"
     assert image["2134"] == "3214"
     assert image["3124"] == "4213"
@@ -32,35 +30,34 @@ def test_pairing_on_size_four():
 
 def test_size_two_mapping_and_verification():
     poset = build_descent_poset(2)
-    auto = construct_antiautomorphism(poset)
+    mapping = construct_antiautomorphism(poset)
     assert labels(poset) == ["12", "21"]
-    assert auto.mapping == (1, 0)
-    assert verify_antiautomorphism(poset, auto.mapping)
-    assert not verify_antiautomorphism(poset, (0, 1))  # identity keeps order
+    assert mapping == (1, 0)
+    assert support.reverses_order(poset, mapping)
+    assert not support.reverses_order(poset, (0, 1))  # identity keeps order
 
 
 def test_involution():
     for n in range(1, 8):
-        auto = construct_antiautomorphism(build_descent_poset(n))
-        assert auto.is_involution()
+        mapping = construct_antiautomorphism(build_descent_poset(n))
+        assert all(mapping[j] == i for i, j in enumerate(mapping))
 
 
 def test_order_reversal_exhaustive():
     for n in range(1, 7):
         poset = build_descent_poset(n)
-        auto = construct_antiautomorphism(poset)
-        assert verify_antiautomorphism(poset, auto.mapping)
+        mapping = construct_antiautomorphism(poset)
         for i in range(poset.size):
             for j in range(poset.size):
-                assert poset.leq(i, j) == poset.leq(auto(j), auto(i))
+                assert poset.leq(i, j) == poset.leq(mapping[j], mapping[i])
 
 
 def test_rank_flip():
     for n in range(2, 8):
         poset = build_descent_poset(n)
-        auto = construct_antiautomorphism(poset)
+        mapping = construct_antiautomorphism(poset)
         for i in range(poset.size):
-            assert poset.ranks[auto(i)] == n - 1 - poset.ranks[i]
+            assert poset.ranks[mapping[i]] == n - 1 - poset.ranks[i]
 
 
 def test_rejects_refinement_poset():
@@ -70,12 +67,7 @@ def test_rejects_refinement_poset():
 
 def test_verify_rejects_non_bijection():
     poset = build_descent_poset(3)
-    assert not verify_antiautomorphism(poset, (0, 0, 1, 2, 3))
-
-
-def test_is_involution_detects_cycles():
-    assert not AntiAutomorphism(3, (1, 2, 0)).is_involution()
-    assert AntiAutomorphism(3, (0, 2, 1)).is_involution()
+    assert not support.reverses_order(poset, (0, 0, 1, 2, 3))
 
 
 def test_coarsening_hand_example():
@@ -94,9 +86,9 @@ def test_coarsening_hand_example():
 
 
 def test_single_element_poset_pairs_with_itself():
-    auto = construct_antiautomorphism(build_descent_poset(1))
-    assert auto.mapping == (0,)
-    assert verify_antiautomorphism(build_descent_poset(1), auto.mapping)
+    mapping = construct_antiautomorphism(build_descent_poset(1))
+    assert mapping == (0,)
+    assert support.reverses_order(build_descent_poset(1), mapping)
 
 
 def test_check_coarsening_passes():
@@ -125,12 +117,12 @@ def test_permutation_level_description_of_pairing():
     # images under the pairing are exactly reverse complements at the
     # descent-set level
     poset = build_descent_poset(5)
-    auto = construct_antiautomorphism(poset)
-    from catalan_posets.permutations import descent_set, enumerate_av132
+    mapping = construct_antiautomorphism(poset)
+    from catalan_posets.descent_sets import reverse_complement_mask
+    from catalan_posets.permutations import descent_mask, enumerate_av132
 
     perms = list(enumerate_av132(5))
     for i, p in enumerate(perms):
-        assert (
-            descent_set(perms[auto(i)])
-            == descent_set(p).reverse_complement()
+        assert descent_mask(perms[mapping[i]]) == reverse_complement_mask(
+            5, descent_mask(p)
         )

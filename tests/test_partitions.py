@@ -2,15 +2,13 @@ import pytest
 
 import support
 from catalan_posets.counting import catalan
-from catalan_posets.errors import CapacityError
+from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.partitions import (
-    MAX_ENUM_N,
     SetPartition,
     block_minima,
     enumerate_ncp,
     format_partition,
     is_noncrossing,
-    is_noncrossing_bruteforce,
     parse_partition,
 )
 
@@ -40,10 +38,6 @@ def test_constructor_rejects_noncanonical_or_invalid():
 
 def test_block_access():
     q = SetPartition.from_blocks([(1, 4, 6), (2, 3), (5,), (7, 8)])
-    assert q.block_containing(4) == (1, 4, 6)
-    assert q.block_containing(5) == (5,)
-    with pytest.raises(ValueError):
-        q.block_containing(9)
     assert block_minima(q) == (1, 2, 5, 7)
 
 
@@ -60,7 +54,6 @@ def test_noncrossing_agrees_with_definition_exhaustively():
             q = SetPartition(n, blocks)
             expected = not support.brute_has_crossing(blocks)
             assert is_noncrossing(q) == expected
-            assert is_noncrossing_bruteforce(q) == expected
 
 
 def test_enumerate_ncp_matches_filter_oracle():
@@ -94,7 +87,7 @@ def test_enumerate_ncp_bounds():
     with pytest.raises(CapacityError):
         enumerate_ncp(0)
     with pytest.raises(CapacityError):
-        enumerate_ncp(MAX_ENUM_N + 1)
+        enumerate_ncp(CAPACITY["enumeration"] + 1)
 
 
 def test_format_partition():

@@ -5,18 +5,14 @@ import pytest
 import support
 from catalan_posets.bijection import ncp_to_perm
 from catalan_posets.counting import narayana
-from catalan_posets.errors import CapacityError
+from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.partitions import enumerate_ncp, format_partition
 from catalan_posets.permutations import descent_set, enumerate_av132, format_permutation
 from catalan_posets.poset import (
-    MAX_POSET_N,
     build_descent_poset,
     build_refinement_poset,
-    descent_leq,
     poset_to_dot,
     poset_to_json,
-    refinement_leq,
-    transitive_reduction,
 )
 
 SIZE_FOUR_LABELS = {
@@ -41,28 +37,30 @@ def both_posets(n):
     return build_descent_poset(n), build_refinement_poset(n)
 
 
+def leq_by_label(poset, lower, upper):
+    labels = [poset.label(i) for i in range(poset.size)]
+    return poset.leq(labels.index(lower), labels.index(upper))
+
+
 def test_descent_leq_examples():
-    assert descent_leq((2, 1, 3, 4), (3, 2, 1, 4))  # {1} inside {1,2}
-    assert descent_leq((2, 1, 3, 4), (2, 1, 3, 4))  # reflexive
+    p = build_descent_poset(4)
+    assert leq_by_label(p, "2134", "3214")  # {1} inside {1,2}
+    assert leq_by_label(p, "2134", "2134")  # reflexive
     # strictly below needs strictly smaller descent set: distinct
     # permutations sharing a descent set are incomparable
-    assert not descent_leq((2, 1, 3, 4), (3, 1, 2, 4))
-    assert not descent_leq((3, 1, 2, 4), (2, 1, 3, 4))
+    assert not leq_by_label(p, "2134", "3124")
+    assert not leq_by_label(p, "3124", "2134")
     # {2} is properly inside {1,2}
-    assert descent_leq((2, 3, 1, 4), (4, 2, 1, 3))
+    assert leq_by_label(p, "2314", "4213")
 
 
 def test_refinement_leq_examples():
-    from catalan_posets.partitions import parse_partition
-
-    fine = parse_partition("{1}/{2}/{3}")
-    coarse = parse_partition("{1,2,3}")
-    assert refinement_leq(fine, coarse)
-    assert not refinement_leq(coarse, fine)
-    assert refinement_leq(fine, fine)
-    a = parse_partition("{1,2}/{3}")
-    b = parse_partition("{1,3}/{2}")
-    assert not refinement_leq(a, b) and not refinement_leq(b, a)
+    q = build_refinement_poset(3)
+    assert leq_by_label(q, "{1}/{2}/{3}", "{1,2,3}")
+    assert not leq_by_label(q, "{1,2,3}", "{1}/{2}/{3}")
+    assert leq_by_label(q, "{1}/{2}/{3}", "{1}/{2}/{3}")
+    a, b = "{1,2}/{3}", "{1,3}/{2}"
+    assert not leq_by_label(q, a, b) and not leq_by_label(q, b, a)
 
 
 def test_elements_listed_in_enumeration_order():
@@ -104,20 +102,21 @@ def test_poset_axioms():
 def test_matrix_matches_predicate():
     for n in range(1, 7):
         p, q = both_posets(n)
-        perms = list(enumerate_av132(n))
+        masks = [support.brute_descent_mask(x) for x in enumerate_av132(n)]
         for i in range(p.size):
             for j in range(p.size):
-                assert p.leq(i, j) == descent_leq(perms[i], perms[j])
-        parts = list(enumerate_ncp(n))
+                proper = masks[i] != masks[j] and masks[i] & ~masks[j] == 0
+                assert p.leq(i, j) == (i == j or proper)
+        parts = [x.blocks for x in enumerate_ncp(n)]
         for i in range(q.size):
             for j in range(q.size):
-                assert q.leq(i, j) == refinement_leq(parts[i], parts[j])
+                assert q.leq(i, j) == support.brute_refines(parts[i], parts[j])
 
 
 def test_covers_match_generic_reduction():
     for n in range(1, 7):
         for poset in both_posets(n):
-            reduced = transitive_reduction(poset.leq_rows, poset.ranks)
+            reduced = support.transitive_reduction(poset.leq_rows, poset.ranks)
             assert tuple(reduced) == tuple(poset.cover_rows)
 
 
@@ -228,9 +227,9 @@ def test_json_ends_with_newline():
 
 def test_capacity_bounds():
     with pytest.raises(CapacityError):
-        build_descent_poset(MAX_POSET_N + 1)
+        build_descent_poset(CAPACITY["poset construction"] + 1)
     with pytest.raises(CapacityError):
-        build_refinement_poset(MAX_POSET_N + 1)
+        build_refinement_poset(CAPACITY["poset construction"] + 1)
     with pytest.raises(CapacityError):
         build_descent_poset(0)
 

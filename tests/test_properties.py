@@ -17,10 +17,9 @@ from catalan_posets.permutations import (
     descent_set,
     format_permutation,
     is_132_avoiding,
-    is_132_avoiding_bruteforce,
     parse_permutation,
 )
-from catalan_posets.poset import descent_leq
+from catalan_posets.poset import build_descent_poset
 
 sizes = st.integers(min_value=1, max_value=16)
 
@@ -76,7 +75,6 @@ def test_permutation_text_round_trip(perm):
 @given(random_permutations(max_n=9))
 def test_fast_avoidance_scan_matches_definition(perm):
     assert is_132_avoiding(perm) == (not support.contains_132(perm))
-    assert is_132_avoiding_bruteforce(perm) == (not support.contains_132(perm))
 
 
 @given(random_set_partitions())
@@ -115,7 +113,9 @@ def test_bijection_round_trip(q):
 def test_descent_order_antisymmetry_via_bijection(qa, qb):
     if qa.n != qb.n:
         return
-    pa, pb = ncp_to_perm(qa), ncp_to_perm(qb)
-    assert descent_leq(pa, pa)
-    if pa != pb and descent_leq(pa, pb):
-        assert not descent_leq(pb, pa)
+    poset = build_descent_poset(qa.n)
+    index = {p: i for i, p in enumerate(poset.elements)}
+    a, b = index[ncp_to_perm(qa)], index[ncp_to_perm(qb)]
+    assert poset.leq(a, a)
+    if a != b and poset.leq(a, b):
+        assert not poset.leq(b, a)

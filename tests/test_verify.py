@@ -1,19 +1,14 @@
 import pytest
 
 from catalan_posets.counting import catalan
-from catalan_posets.errors import CapacityError
+from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.verify import (
-    CHECK_BOUNDS,
-    CHECK_ORDER,
+    CHECKS,
     check_census_symmetry,
     check_rank_statistics,
     check_sperner_suite,
     run_checks,
 )
-
-
-def test_check_order_covers_every_bound():
-    assert set(CHECK_ORDER) == set(CHECK_BOUNDS)
 
 
 def test_rank_statistics_report():
@@ -52,20 +47,20 @@ def test_sperner_suite_structure():
 
 
 def test_run_checks_each_name_at_small_size():
-    reports = run_checks(CHECK_ORDER, 5)
+    reports = run_checks(tuple(CHECKS), 5)
     # sperner expands to three reports
-    assert len(reports) == len(CHECK_ORDER) + 2
+    assert len(reports) == len(CHECKS) + 2
     assert all(r.passed for r in reports)
 
 
 def test_run_checks_clamps_when_asked():
     reports = run_checks(("selfdual",), 12, clamp=True)
-    assert reports[0].n == CHECK_BOUNDS["selfdual"]
+    assert reports[0].n == CAPACITY["check selfdual"]
 
 
 def test_run_checks_rejects_over_cap_without_clamp():
     with pytest.raises(CapacityError):
-        run_checks(("selfdual",), CHECK_BOUNDS["selfdual"] + 1)
+        run_checks(("selfdual",), CAPACITY["check selfdual"] + 1)
 
 
 def test_run_checks_rejects_unknown_name():
@@ -79,6 +74,6 @@ def test_run_checks_rejects_bad_n():
 
 
 def test_all_checks_pass_at_their_caps():
-    for name, bound in CHECK_BOUNDS.items():
-        for report in run_checks((name,), bound):
+    for name in CHECKS:
+        for report in run_checks((name,), CAPACITY["check " + name]):
             assert report.passed, report.summary_line()
