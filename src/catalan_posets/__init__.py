@@ -1,5 +1,5 @@
 """Catalan-family posets: noncrossing partitions, 132-avoiding permutations,
-the recursive bijection between them, and two graded partial orders (one by
+a linear-scan bijection between them, and two graded partial orders (one by
 descent sets on permutations, one by refinement on partitions) together with
 machinery to verify their structure exhaustively at small sizes.
 

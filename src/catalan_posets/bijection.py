@@ -1,12 +1,14 @@
-"""The recursive bijection between noncrossing partitions of [n] and
-132-avoiding permutations of [n].
+"""The bijection between noncrossing partitions of [n] and 132-avoiding
+permutations of [n].
 
 Writing k for the largest element of the block containing 1, a noncrossing
 partition splits into that block, the blocks inside the interval (1, k),
 and the blocks above k.  The image permutation places n at position k,
 maps everything below k to the values above n - k (shifted recursively),
-and everything above k to the values 1..n-k (recursively, unshifted).
-The inverse reads k off as the position of n.
+and everything above k to the values 1..n-k (recursively, unshifted).  The
+inverse reads k off as the position of n.  That recursive definition is
+the oracle in ``tests/support.py``; here each direction is one linear scan
+that also rejects input outside its family.
 """
 
 from __future__ import annotations
@@ -14,42 +16,17 @@ from __future__ import annotations
 from typing import Sequence
 
 from .descent_sets import DescentSet
-from .partitions import SetPartition, block_minima, is_noncrossing
-from .permutations import check_permutation, is_132_avoiding
-
-Blocks = tuple[tuple[int, ...], ...]
-
-
-def _f(blocks: Blocks, m: int) -> tuple[int, ...]:
-    # blocks is a canonical noncrossing partition of [m]
-    if m == 0:
-        return ()
-    k = blocks[0][-1]
-    head = blocks[0][:-1]
-    left = ((head,) if head else ()) + tuple(b for b in blocks[1:] if b[0] < k)
-    right = tuple(tuple(x - k for x in b) for b in blocks if b[0] > k)
-    shift = m - k
-    return (
-        tuple(v + shift for v in _f(left, k - 1))
-        + (m,)
-        + _f(right, m - k)
-    )
-
-
-def _finv(perm: tuple[int, ...]) -> Blocks:
-    m = len(perm)
-    if m == 0:
-        return ()
-    k = perm.index(m) + 1
-    shift = m - k
-    left = _finv(tuple(v - shift for v in perm[: k - 1]))
-    right = tuple(tuple(x + k for x in b) for b in _finv(perm[k:]))
-    first = (left[0] if left else ()) + (k,)
-    return (first,) + left[1:] + right
+from .partitions import SetPartition, block_minima
+from .permutations import check_permutation
 
 
 def ncp_to_perm(partition: SetPartition) -> tuple[int, ...]:
     """Map a noncrossing partition to its 132-avoiding permutation.
+
+    Unrolled, the recursion hands out the values n, n-1, ..., 1 block by
+    block in order of minima, each block largest element first.  ``ends``
+    holds the gap ends of open blocks, innermost on top; a block crosses
+    when it reaches past the gap its minimum lies in.
 
     >>> from .partitions import parse_partition
     >>> ncp_to_perm(parse_partition("{1,4,6}/{2,3}/{5}/{7,8}"))
@@ -59,21 +36,49 @@ def ncp_to_perm(partition: SetPartition) -> tuple[int, ...]:
     >>> ncp_to_perm(parse_partition("{1,2,3}"))
     (1, 2, 3)
     """
-    if not is_noncrossing(partition):
-        raise ValueError(f"partition {partition} is not noncrossing")
-    return _f(partition.blocks, partition.n)
+    image = [0] * partition.n
+    value = partition.n
+    ends = [partition.n]
+    for block in partition.blocks:
+        while ends[-1] < block[0]:
+            ends.pop()
+        if block[-1] > ends[-1]:
+            raise ValueError(f"partition {partition} is not noncrossing")
+        for x in reversed(block):
+            image[x - 1] = value
+            value -= 1
+        ends.extend(x - 1 for x in reversed(block[1:]))
+    return tuple(image)
 
 
 def perm_to_ncp(perm: Sequence[int]) -> SetPartition:
     """Map a 132-avoiding permutation back to its noncrossing partition.
 
+    Position j joins the block of the largest smaller value to its left,
+    or opens a block at a left-to-right minimum.  A decreasing stack holds
+    each value with its block and prefix minimum; once the values below x
+    are popped, a prefix minimum below x on top completes a 132.
+
     >>> str(perm_to_ncp((6, 4, 5, 7, 3, 8, 1, 2)))
     '{1,4,6}/{2,3}/{5}/{7,8}'
     """
     entries = check_permutation(perm)
-    if not is_132_avoiding(entries):
-        raise ValueError(f"permutation {entries} contains a 132 pattern")
-    return SetPartition(len(entries), _finv(entries))
+    blocks: list[list[int]] = []
+    stack: list[tuple[int, list[int], int]] = []
+    smallest = len(entries)
+    for j, x in enumerate(entries, start=1):
+        block = None
+        while stack and stack[-1][0] < x:
+            block = stack.pop()[1]
+        if stack and stack[-1][2] < x:
+            raise ValueError(f"permutation {entries} contains a 132 pattern")
+        if block is None:
+            block = []
+            blocks.append(block)
+        block.append(j)
+        smallest = min(smallest, x)
+        stack.append((x, block, smallest))
+    return SetPartition(len(entries), tuple(map(tuple, blocks)))
 
 
 def partition_descent_set(partition: SetPartition) -> DescentSet:

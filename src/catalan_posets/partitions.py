@@ -77,35 +77,6 @@ def block_minima(partition: SetPartition) -> tuple[int, ...]:
     return tuple(block[0] for block in partition.blocks)
 
 
-def is_noncrossing(partition: SetPartition) -> bool:
-    """Linear-time crossing test via a stack of open blocks.
-
-    Scanning 1..n, a block is open from its minimum to its maximum.  The
-    partition is noncrossing exactly when every element belongs to the most
-    recently opened block that is still open.
-
-    >>> is_noncrossing(SetPartition.from_blocks([(1, 4, 6), (2, 3), (5,), (7, 8)]))
-    True
-    >>> is_noncrossing(SetPartition.from_blocks([(1, 3), (2, 4)]))
-    False
-    """
-    owner = {}
-    for index, block in enumerate(partition.blocks):
-        for x in block:
-            owner[x] = index
-    stack: list[int] = []
-    for x in range(1, partition.n + 1):
-        b = owner[x]
-        block = partition.blocks[b]
-        if x == block[0]:
-            stack.append(b)
-        elif stack[-1] != b:
-            return False
-        if x == block[-1]:
-            stack.pop()
-    return True
-
-
 def enumerate_ncp(n: int) -> Iterator[SetPartition]:
     """All noncrossing partitions of [n], ordered by their restricted growth
     strings (the block index of 1, 2, ..., n in turn), lexicographically.

@@ -1,4 +1,4 @@
-"""132-avoiding permutations: recognition, enumeration, descents.
+"""132-avoiding permutations: validation, enumeration, descents.
 
 Permutations are tuples of the values 1..n in one-line notation; positions
 are 1-based throughout the public API.  A permutation contains the pattern
@@ -10,7 +10,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .descent_sets import DescentSet
 from .errors import check_capacity
 
 
@@ -35,31 +34,6 @@ def check_permutation(entries: Sequence[int]) -> tuple[int, ...]:
     return p
 
 
-def is_132_avoiding(entries: Sequence[int]) -> bool:
-    """Linear-time avoidance test.
-
-    Scans right to left keeping a decreasing stack of candidate middle
-    values; ``threshold`` is the largest value known to sit to the right of
-    some larger value, i.e. the best candidate for the final "2" of a
-    pattern.  Any later (further-left) entry below it completes a 132.
-
-    >>> is_132_avoiding((6, 4, 5, 7, 3, 8, 1, 2))
-    True
-    >>> is_132_avoiding((1, 3, 2))
-    False
-    """
-    p = check_permutation(entries)
-    stack: list[int] = []
-    threshold = 0
-    for x in reversed(p):
-        if x < threshold:
-            return False
-        while stack and stack[-1] < x:
-            threshold = stack.pop()
-        stack.append(x)
-    return True
-
-
 def descent_mask(entries: Sequence[int]) -> int:
     """Bit mask of descent positions (bit i-1 set iff p[i] > p[i+1])."""
     mask = 0
@@ -67,16 +41,6 @@ def descent_mask(entries: Sequence[int]) -> int:
         if entries[i] > entries[i + 1]:
             mask |= 1 << i
     return mask
-
-
-def descent_set(entries: Sequence[int]) -> DescentSet:
-    """Positions i with p[i] > p[i+1].
-
-    >>> descent_set((6, 4, 5, 7, 3, 8, 1, 2)).positions()
-    (1, 4, 6)
-    """
-    p = check_permutation(entries)
-    return DescentSet(len(p), descent_mask(p))
 
 
 @lru_cache(maxsize=None)

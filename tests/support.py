@@ -61,6 +61,44 @@ def brute_has_crossing(blocks: Blocks) -> bool:
     return False
 
 
+def rejects(function, argument) -> bool:
+    """Whether function(argument) raises ValueError."""
+    try:
+        function(argument)
+    except ValueError:
+        return True
+    return False
+
+
+def recursive_f(blocks: Blocks, m: int) -> tuple[int, ...]:
+    """The paper's recursive bijection; blocks is a noncrossing partition of [m]."""
+    if m == 0:
+        return ()
+    k = blocks[0][-1]
+    head = blocks[0][:-1]
+    left = ((head,) if head else ()) + tuple(b for b in blocks[1:] if b[0] < k)
+    right = tuple(tuple(x - k for x in b) for b in blocks if b[0] > k)
+    shift = m - k
+    return (
+        tuple(v + shift for v in recursive_f(left, k - 1))
+        + (m,)
+        + recursive_f(right, m - k)
+    )
+
+
+def recursive_finv(perm: tuple[int, ...]) -> Blocks:
+    """Inverse of recursive_f, by recursion at the position of m."""
+    m = len(perm)
+    if m == 0:
+        return ()
+    k = perm.index(m) + 1
+    shift = m - k
+    left = recursive_finv(tuple(v - shift for v in perm[: k - 1]))
+    right = tuple(tuple(x + k for x in b) for b in recursive_finv(perm[k:]))
+    first = (left[0] if left else ()) + (k,)
+    return (first,) + left[1:] + right
+
+
 def brute_refines(finer: Blocks, coarser: Blocks) -> bool:
     """Every block of `finer` is a subset of some block of `coarser`."""
     coarse_sets = [set(block) for block in coarser]

@@ -16,11 +16,7 @@ from catalan_posets.counting import catalan, narayana
 from catalan_posets.descent_sets import reverse_complement_mask
 from catalan_posets.duality import check_self_duality
 from catalan_posets.partitions import SetPartition, enumerate_ncp, parse_partition
-from catalan_posets.permutations import (
-    descent_set,
-    enumerate_av132,
-    is_132_avoiding,
-)
+from catalan_posets.permutations import descent_mask, enumerate_av132
 from catalan_posets.poset import (
     build_descent_poset,
     build_refinement_poset,
@@ -76,7 +72,7 @@ def test_criterion_03_descent_formula():
     problems = []
     for n in range(1, 11):
         for q in enumerate_ncp(n):
-            if descent_set(ncp_to_perm(q)) != partition_descent_set(q):
+            if descent_mask(ncp_to_perm(q)) != partition_descent_set(q).mask:
                 problems.append(f"descent mismatch at {q}")
                 break
     conclude(3, "descents are shifted block minima to 10", problems)
@@ -191,15 +187,18 @@ def test_criterion_10_oracle_cross_checks():
     problems = []
     for n in range(1, 8):
         for p in all_perms(range(1, n + 1)):
-            if is_132_avoiding(p) != (not support.contains_132(p)):
+            if support.rejects(perm_to_ncp, p) != support.contains_132(p):
                 problems.append(f"avoidance scan wrong on {p}")
+    # the recursive definition pins down the bijection; a round trip would not
     for n in range(1, 11):
         for q in enumerate_ncp(n):
-            if perm_to_ncp(ncp_to_perm(q)) != q:
-                problems.append(f"round trip fails at {q}")
+            p = ncp_to_perm(q)
+            if p != support.recursive_f(q.blocks, n) or perm_to_ncp(p) != q:
+                problems.append(f"scan or round trip fails at {q}")
                 break
         for p in enumerate_av132(n):
-            if ncp_to_perm(perm_to_ncp(p)) != p:
-                problems.append(f"round trip fails at {p}")
+            q = perm_to_ncp(p)
+            if q.blocks != support.recursive_finv(p) or ncp_to_perm(q) != p:
+                problems.append(f"scan or round trip fails at {p}")
                 break
     conclude(10, "independent oracles agree", problems)

@@ -259,3 +259,31 @@ def test_closed_pipe_is_one_error_line():
         assert process.wait(timeout=60) == 1
     assert "Traceback" not in err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+BIG = 2000
+IDENTITY = ",".join(map(str, range(1, BIG + 1)))
+DECREASING = ",".join(map(str, range(BIG, 0, -1)))
+ONE_BLOCK = "{" + IDENTITY + "}"
+SINGLETONS = "/".join(f"{{{x}}}" for x in range(1, BIG + 1))
+
+
+@pytest.mark.parametrize(
+    "argv, partner",
+    [
+        (["f", ONE_BLOCK], IDENTITY),
+        (["f", SINGLETONS], DECREASING),
+        (["finv", IDENTITY], ONE_BLOCK),
+        (["finv", DECREASING], SINGLETONS),
+        # {1997,1999} crosses {1998,2000}; the values end in 1, 3, 2
+        (["f", SINGLETONS.rsplit("/", 4)[0] + "/{1997,1999}/{1998,2000}"], None),
+        (["finv", DECREASING.rsplit(",", 3)[0] + ",1,3,2"], None),
+    ],
+    ids=["one-block", "singletons", "identity", "decreasing", "crossing", "pattern"],
+)
+def test_map_at_large_n(capsys, argv, partner):
+    code, out, err = run_cli(capsys, "map", *argv)
+    if partner:
+        assert (code, out, err) == (0, partner + "\n", "")
+    else:
+        assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith("error:")

@@ -1,6 +1,7 @@
 import pytest
 
 import support
+from catalan_posets.bijection import ncp_to_perm
 from catalan_posets.counting import catalan
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.partitions import (
@@ -8,7 +9,6 @@ from catalan_posets.partitions import (
     block_minima,
     enumerate_ncp,
     format_partition,
-    is_noncrossing,
     parse_partition,
 )
 
@@ -41,19 +41,12 @@ def test_block_access():
     assert block_minima(q) == (1, 2, 5, 7)
 
 
-def test_noncrossing_known_cases():
-    assert is_noncrossing(SetPartition.from_blocks([(1, 4, 6), (2, 3), (5,), (7, 8)]))
-    assert not is_noncrossing(SetPartition.from_blocks([(1, 3), (2, 4)]))
-    assert is_noncrossing(SetPartition.from_blocks([(1, 2, 3, 4)]))
-
-
 def test_noncrossing_agrees_with_definition_exhaustively():
     # every set partition through size 8 (4140 of them at the top)
     for n in range(1, 9):
         for blocks in support.brute_set_partitions(n):
             q = SetPartition(n, blocks)
-            expected = not support.brute_has_crossing(blocks)
-            assert is_noncrossing(q) == expected
+            assert support.rejects(ncp_to_perm, q) == support.brute_has_crossing(blocks)
 
 
 def test_enumerate_ncp_matches_filter_oracle():

@@ -3,15 +3,14 @@ from itertools import permutations
 import pytest
 
 import support
+from catalan_posets.bijection import perm_to_ncp
 from catalan_posets.counting import catalan
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.permutations import (
     check_permutation,
     descent_mask,
-    descent_set,
     enumerate_av132,
     format_permutation,
-    is_132_avoiding,
     parse_permutation,
 )
 
@@ -27,19 +26,11 @@ def test_check_permutation_rejects_invalid():
             check_permutation(bad)
 
 
-def test_is_132_avoiding_known_cases():
-    assert is_132_avoiding((6, 4, 5, 7, 3, 8, 1, 2))
-    assert not is_132_avoiding((1, 3, 2))
-    assert not is_132_avoiding((2, 5, 3, 1, 4))  # 2,5,3 forms the pattern
-    assert is_132_avoiding((1,))
-
-
 def test_fast_scan_agrees_with_definition_exhaustively():
     # full symmetric group through size 7 (5040 permutations at the top)
     for n in range(1, 8):
         for p in permutations(range(1, n + 1)):
-            expected = not support.contains_132(p)
-            assert is_132_avoiding(p) == expected
+            assert support.rejects(perm_to_ncp, p) == support.contains_132(p)
 
 
 def test_enumerate_av132_matches_filter_oracle():
@@ -62,7 +53,7 @@ def test_enumerate_av132_bounds():
 
 
 def test_descent_set_of_running_example():
-    assert descent_set((6, 4, 5, 7, 3, 8, 1, 2)).positions() == (1, 4, 6)
+    assert descent_mask((6, 4, 5, 7, 3, 8, 1, 2)) == 0b101001
     assert descent_mask((1, 2, 3)) == 0
     assert descent_mask((3, 2, 1)) == 0b11
 
@@ -79,7 +70,7 @@ def test_descents_shift_to_minima_positions_on_avoiders():
     # descent set; exhaustive through size 8.
     for n in range(1, 9):
         for p in enumerate_av132(n):
-            shifted = {1} | {i + 1 for i in descent_set(p).positions()}
+            shifted = {1} | {i + 2 for i in range(n - 1) if descent_mask(p) >> i & 1}
             assert set(support.left_to_right_minima_positions(p)) == shifted
 
 

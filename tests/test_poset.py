@@ -7,7 +7,7 @@ from catalan_posets.bijection import ncp_to_perm
 from catalan_posets.counting import narayana
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.partitions import enumerate_ncp, format_partition
-from catalan_posets.permutations import descent_set, enumerate_av132, format_permutation
+from catalan_posets.permutations import descent_mask, enumerate_av132, format_permutation
 from catalan_posets.poset import (
     build_descent_poset,
     build_refinement_poset,
@@ -76,7 +76,7 @@ def test_elements_listed_in_enumeration_order():
 def test_ranks_match_statistic():
     p, q = both_posets(6)
     for i, perm in enumerate(enumerate_av132(6)):
-        assert p.ranks[i] == len(descent_set(perm))
+        assert p.ranks[i] == descent_mask(perm).bit_count()
     for i, part in enumerate(enumerate_ncp(6)):
         assert q.ranks[i] == 6 - len(part.blocks)
 
@@ -240,7 +240,7 @@ def test_coarsening_via_bijection_on_refinement_covers():
         q = build_refinement_poset(n)
         parts = list(enumerate_ncp(n))
         for lower, upper in q.covers():
-            d_fine = descent_set(ncp_to_perm(parts[lower]))
-            d_coarse = descent_set(ncp_to_perm(parts[upper]))
-            assert d_coarse.mask != d_fine.mask
-            assert d_coarse.mask & ~d_fine.mask == 0
+            d_fine = descent_mask(ncp_to_perm(parts[lower]))
+            d_coarse = descent_mask(ncp_to_perm(parts[upper]))
+            assert d_coarse != d_fine
+            assert d_coarse & ~d_fine == 0
