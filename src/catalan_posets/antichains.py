@@ -30,55 +30,70 @@ def _strict_rows(poset: GradedPoset) -> list[int]:
 def hopcroft_karp(adjacency: Sequence[int], right_size: int) -> tuple[list[int], list[int]]:
     """Maximum matching in a bipartite graph; adjacency[u] is a bitmask of
     right-side neighbors.  Returns (match_left, match_right), -1 meaning
-    unmatched."""
+    unmatched.
+
+    Each phase grows alternating layers from the free left vertices as
+    bit rows, so a right vertex enters at most one layer, then takes a
+    maximal set of vertex-disjoint shortest augmenting paths by
+    depth-first search on an explicit stack.
+    """
     left_size = len(adjacency)
     match_left = [-1] * left_size
     match_right = [-1] * right_size
-    for u in range(left_size):
-        for v in iter_bits(adjacency[u]):
-            if match_right[v] == -1:
-                match_left[u] = v
-                match_right[v] = u
-                break
+    free_right = (1 << right_size) - 1
+    for u, row in enumerate(adjacency):
+        hit = row & free_right
+        if hit:
+            low = hit & -hit
+            v = low.bit_length() - 1
+            match_left[u] = v
+            match_right[v] = u
+            free_right ^= low
     while True:
-        # BFS layers over left vertices, starting from the free ones
-        dist = [-1] * left_size
-        queue = [u for u in range(left_size) if match_left[u] == -1]
-        for u in queue:
-            dist[u] = 0
-        head = 0
-        reached_free = False
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in iter_bits(adjacency[u]):
-                w = match_right[v]
-                if w == -1:
-                    reached_free = True
-                elif dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if not reached_free:
+        roots = [u for u in range(left_size) if match_left[u] == -1]
+        # targets[d]: right vertices a path may take from left layer d;
+        # the last entry holds the free ones, where paths end
+        targets: list[int] = []
+        seen = 0
+        frontier = roots
+        while frontier:
+            reach = 0
+            for u in frontier:
+                reach |= adjacency[u]
+            reach &= ~seen
+            seen |= reach
+            if reach & free_right:
+                targets.append(reach & free_right)
+                break
+            targets.append(reach)
+            frontier = [match_right[v] for v in iter_bits(reach)]
+        else:
             return match_left, match_right
-        # layered DFS; arcs are consumed so each is tried once per phase
-        remaining = list(adjacency)
-
-        def advance(u: int) -> bool:
-            while remaining[u]:
-                low = remaining[u] & -remaining[u]
-                remaining[u] ^= low
+        last = len(targets) - 1
+        for root in roots:
+            path = [root]
+            taken: list[int] = []
+            while path:
+                depth = len(path) - 1
+                options = adjacency[path[-1]] & targets[depth]
+                if not options:
+                    # dead end: nothing reaches the free layer through here
+                    path.pop()
+                    if taken:
+                        targets[depth - 1] &= ~(1 << taken.pop())
+                    continue
+                low = options & -options
                 v = low.bit_length() - 1
-                w = match_right[v]
-                if w == -1 or (dist[w] == dist[u] + 1 and advance(w)):
+                taken.append(v)
+                if depth < last:
+                    path.append(match_right[v])
+                    continue
+                for d, (u, v) in enumerate(zip(path, taken)):
                     match_left[u] = v
                     match_right[v] = u
-                    return True
-            dist[u] = -2
-            return False
-
-        for u in range(left_size):
-            if match_left[u] == -1:
-                advance(u)
+                    targets[d] &= ~(1 << v)
+                free_right ^= low
+                break
 
 
 def max_antichain_elements(poset: GradedPoset) -> tuple[int, ...]:

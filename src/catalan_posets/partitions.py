@@ -34,7 +34,7 @@ class SetPartition:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
-        seen = 0
+        seen = bytearray(self.n)
         previous_min = 0
         for block in self.blocks:
             if not block:
@@ -49,11 +49,10 @@ class SetPartition:
                 if x <= last:
                     raise ValueError(f"block {block} is not strictly increasing")
                 last = x
-                bit = 1 << (x - 1)
-                if seen & bit:
+                if seen[x - 1]:
                     raise ValueError(f"element {x} appears in two blocks")
-                seen |= bit
-        if seen != (1 << self.n) - 1:
+                seen[x - 1] = 1
+        if 0 in seen:
             raise ValueError(f"blocks do not cover 1..{self.n}")
 
     @classmethod

@@ -23,14 +23,13 @@ def check_permutation(entries: Sequence[int]) -> tuple[int, ...]:
     n = len(p)
     if n == 0:
         raise ValueError("permutation must have at least one entry")
-    seen = 0
+    seen = bytearray(n + 1)
     for x in p:
         if not isinstance(x, int) or not 1 <= x <= n:
             raise ValueError(f"entry {x!r} outside 1..{n}")
-        bit = 1 << (x - 1)
-        if seen & bit:
+        if seen[x]:
             raise ValueError(f"duplicate entry {x}")
-        seen |= bit
+        seen[x] = 1
     return p
 
 

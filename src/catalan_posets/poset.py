@@ -31,6 +31,18 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def superset_sums(fiber: list[int], width: int) -> list[int]:
+    """Entry s is the union of fiber[t] over every t containing s, for
+    fiber indexed by the subsets of a width-bit universe."""
+    above = list(fiber)
+    for b in range(width):
+        bit = 1 << b
+        for s in range(len(above)):
+            if not s & bit:
+                above[s] |= above[s | bit]
+    return above
+
+
 @dataclass(frozen=True)
 class GradedPoset:
     """A finite graded poset over a fixed tuple of elements.
@@ -92,13 +104,7 @@ def build_descent_poset(n: int) -> GradedPoset:
     fiber = [0] * universe
     for i, m in enumerate(masks):
         fiber[m] |= 1 << i
-    # superset sums: above[s] collects everything whose mask contains s
-    above = list(fiber)
-    for b in range(n - 1):
-        bit = 1 << b
-        for s in range(universe):
-            if not s & bit:
-                above[s] |= above[s | bit]
+    above = superset_sums(fiber, n - 1)
     leq_rows = tuple(
         (above[m] & ~fiber[m]) | (1 << i) for i, m in enumerate(masks)
     )

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 
 import support
@@ -26,6 +29,69 @@ def test_hopcroft_karp_tiny():
     # forced collision: both lefts see only right 0
     match_left, _ = hopcroft_karp([0b01, 0b01], 1)
     assert sum(1 for v in match_left if v != -1) == 1
+
+
+def path_graph(size):
+    """Left u sees right u and u + 1, the last left sees right 0: after the
+    greedy pass the only augmenting path runs through every vertex."""
+    return [(1 << u) | (1 << (u + 1)) for u in range(size - 1)] + [1]
+
+
+def checked_matching_size(adjacency, right_size):
+    """Size of hopcroft_karp's matching after checking it edge by edge."""
+    match_left, match_right = hopcroft_karp(adjacency, right_size)
+    size = 0
+    for u, v in enumerate(match_left):
+        if v != -1:
+            assert adjacency[u] >> v & 1
+            assert match_right[v] == u
+            size += 1
+    assert sum(1 for u in match_right if u != -1) == size
+    return size
+
+
+def test_hopcroft_karp_long_augmenting_path_needs_no_recursion():
+    # a 5000-vertex augmenting path at the default recursion limit
+    size = 5000
+    assert size > sys.getrecursionlimit()
+    assert checked_matching_size(path_graph(size), size) == size
+
+
+def random_bipartite(rng, left_size, right_size, density):
+    return [
+        sum(1 << v for v in range(right_size) if rng.random() < density)
+        for _ in range(left_size)
+    ]
+
+
+def bipartite_inputs():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        left_size, right_size = rng.randrange(13), rng.randrange(13)
+        yield random_bipartite(rng, left_size, right_size, rng.random()), right_size
+    yield random_bipartite(rng, 200, 150, 0.02), 150
+    yield path_graph(300), 300
+    for n in range(1, 8):
+        for poset in both_posets(n):
+            strict = [row & ~(1 << i) for i, row in enumerate(poset.leq_rows)]
+            yield strict, poset.size
+
+
+def test_matching_size_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    for adjacency, right_size in bipartite_inputs():
+        graph = nx.Graph()
+        left = [("left", u) for u in range(len(adjacency))]
+        graph.add_nodes_from(left)
+        graph.add_nodes_from(("right", v) for v in range(right_size))
+        graph.add_edges_from(
+            (("left", u), ("right", v))
+            for u, row in enumerate(adjacency)
+            for v in range(right_size)
+            if row >> v & 1
+        )
+        expected = len(nx.bipartite.hopcroft_karp_matching(graph, top_nodes=left)) // 2
+        assert checked_matching_size(adjacency, right_size) == expected
 
 
 def test_width_matches_subset_bruteforce():

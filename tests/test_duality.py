@@ -1,14 +1,17 @@
 import pytest
 
 import support
+from catalan_posets import duality, reports
 from catalan_posets.counting import catalan
+from catalan_posets.descent_sets import DescentSet
 from catalan_posets.duality import (
     check_coarsening,
     check_self_duality,
     construct_antiautomorphism,
 )
-from catalan_posets.permutations import format_permutation
+from catalan_posets.permutations import descent_mask
 from catalan_posets.poset import build_descent_poset, build_refinement_poset
+from catalan_posets.reports import MAX_VIOLATION_DETAILS, note_violation
 
 
 def labels(poset):
@@ -126,3 +129,114 @@ def test_permutation_level_description_of_pairing():
         assert descent_mask(perms[mapping[i]]) == reverse_complement_mask(
             5, descent_mask(p)
         )
+
+
+# --- failing checks -----------------------------------------------------------
+#
+# The checks decide whole rows at once; these feed them broken inputs and
+# compare every reported line with the pair-by-pair definition.
+
+
+def pairwise_self_duality_violations(poset, mapping):
+    violations = []
+    if any(mapping[j] != i for i, j in enumerate(mapping)):
+        violations.append("pairing is not an involution")
+    for i in range(poset.size):
+        for j in range(poset.size):
+            if poset.leq(i, j) != poset.leq(mapping[j], mapping[i]):
+                note_violation(
+                    violations,
+                    f"({poset.label(i)}, {poset.label(j)}) breaks order reversal",
+                )
+    return tuple(violations)
+
+
+def broken_pairings(poset):
+    """The identity, a pairing rotated inside one descent class (order
+    reversal survives, the involution does not), and a pairing with the
+    images of two same-rank elements of different classes swapped."""
+    good = list(construct_antiautomorphism(poset))
+    masks = [descent_mask(p) for p in poset.elements]
+    yield "identity", tuple(range(poset.size))
+    members = next(
+        [i for i in range(poset.size) if masks[i] == mask]
+        for mask in sorted(set(masks))
+        if masks.count(mask) >= 3
+    )
+    rotated = list(good)
+    for source, target in zip(members, members[1:] + members[:1]):
+        rotated[source] = good[target]
+    yield "rotated", tuple(rotated)
+    a, b = next(
+        (a, b)
+        for a in range(poset.size)
+        for b in range(a + 1, poset.size)
+        if poset.ranks[a] == poset.ranks[b] and masks[a] != masks[b]
+    )
+    swapped = list(good)
+    swapped[a], swapped[b] = good[b], good[a]
+    yield "swapped", tuple(swapped)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_self_duality_reports_broken_pairings(monkeypatch, n):
+    poset = build_descent_poset(n)
+    for name, mapping in broken_pairings(poset):
+        monkeypatch.setattr(duality, "construct_antiautomorphism", lambda _p: mapping)
+        report = check_self_duality(n)
+        assert report.passed is False, name
+        assert report.examined == poset.size**2
+        assert report.violations == pairwise_self_duality_violations(poset, mapping)
+        assert len(report.violations) <= MAX_VIOLATION_DETAILS + 1
+        reversal_broken = any("breaks order reversal" in v for v in report.violations)
+        assert reversal_broken == (not support.reverses_order(poset, mapping)), name
+        if name == "rotated":
+            assert report.violations == ("pairing is not an involution",)
+        else:
+            assert report.violations[-1] == "further violations omitted"
+    # with the cap lifted, every broken pair of every row is compared
+    monkeypatch.setattr(reports, "MAX_VIOLATION_DETAILS", 10**9)
+    for _name, mapping in broken_pairings(poset):
+        monkeypatch.setattr(duality, "construct_antiautomorphism", lambda _p: mapping)
+        expected = pairwise_self_duality_violations(poset, mapping)
+        assert check_self_duality(n).violations == expected
+
+
+def pairwise_coarsening_violations(n):
+    q_poset = build_refinement_poset(n)
+    fmask = [duality.partition_descent_set(q).mask for q in q_poset.elements]
+    violations = []
+    for a, b in support.strict_pairs(q_poset):
+        if fmask[b] == fmask[a] or fmask[b] & fmask[a] != fmask[b]:
+            note_violation(
+                violations,
+                f"{q_poset.label(a)} < {q_poset.label(b)}: "
+                f"image descent sets do not properly shrink",
+            )
+    return tuple(violations)
+
+
+CORRUPTIONS = {
+    "complemented": lambda n, mask: mask ^ ((1 << (n - 1)) - 1),
+    "lowest-descent-dropped": lambda n, mask: mask & (mask - 1),
+    "top-descent-always-set": lambda n, mask: mask | (1 << (n - 2)),
+}
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_coarsening_reports_corrupted_descent_sets(monkeypatch, name):
+    true_descent_set = duality.partition_descent_set
+
+    def fake(q):
+        return DescentSet(q.n, CORRUPTIONS[name](q.n, true_descent_set(q).mask))
+
+    monkeypatch.setattr(duality, "partition_descent_set", fake)
+    for n in (3, 5, 6):
+        report = check_coarsening(n)
+        assert report.passed is False, name
+        assert report.examined == len(support.strict_pairs(build_refinement_poset(n)))
+        assert report.violations == pairwise_coarsening_violations(n)
+        assert len(report.violations) <= MAX_VIOLATION_DETAILS + 1
+    monkeypatch.setattr(reports, "MAX_VIOLATION_DETAILS", 10**9)
+    for n in (3, 5, 6):
+        assert check_coarsening(n).violations == pairwise_coarsening_violations(n)

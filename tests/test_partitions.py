@@ -36,6 +36,32 @@ def test_constructor_rejects_noncanonical_or_invalid():
         SetPartition(0, ())
 
 
+@pytest.mark.parametrize(
+    "n, blocks, text",
+    [
+        (3, ((1, 2), (2, 3)), "element 2 appears in two blocks"),
+        (2, ((1, 2.0),), "element 2.0 outside 1..2"),
+        (3, ((1, 2),), "blocks do not cover 1..3"),
+        (
+            100_000,
+            (tuple(range(1, 100_000)), (99_999, 100_000)),
+            "element 99999 appears in two blocks",
+        ),
+        (
+            100_000,
+            ((*range(1, 100_000), 100_001),),
+            "element 100001 outside 1..100000",
+        ),
+        (100_000, (tuple(range(1, 100_000)),), "blocks do not cover 1..100000"),
+    ],
+)
+def test_constructor_error_texts(n, blocks, text):
+    # validation is linear: at n = 100000 it stays fast and says the same
+    with pytest.raises(ValueError) as caught:
+        SetPartition(n, blocks)
+    assert str(caught.value) == text
+
+
 def test_block_access():
     q = SetPartition.from_blocks([(1, 4, 6), (2, 3), (5,), (7, 8)])
     assert block_minima(q) == (1, 2, 5, 7)

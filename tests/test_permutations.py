@@ -26,6 +26,25 @@ def test_check_permutation_rejects_invalid():
             check_permutation(bad)
 
 
+@pytest.mark.parametrize(
+    "entries, text",
+    [
+        ((2, 2, 1), "duplicate entry 2"),
+        ((True, 1), "duplicate entry 1"),
+        ((1, 2, 4), "entry 4 outside 1..3"),
+        ((1.0, 2), "entry 1.0 outside 1..2"),
+        (("1", "2"), "entry '1' outside 1..2"),
+        ((*range(1, 100_000), 1), "duplicate entry 1"),
+        ((*range(1, 100_000), 100_001), "entry 100001 outside 1..100000"),
+    ],
+)
+def test_check_permutation_error_texts(entries, text):
+    # validation is linear: at n = 100000 it stays fast and says the same
+    with pytest.raises(ValueError) as caught:
+        check_permutation(entries)
+    assert str(caught.value) == text
+
+
 def test_fast_scan_agrees_with_definition_exhaustively():
     # full symmetric group through size 7 (5040 permutations at the top)
     for n in range(1, 8):
