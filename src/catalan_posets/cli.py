@@ -73,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("f", "finv"),
         help="f maps a partition to its permutation, finv inverts",
     )
-    map_cmd.add_argument("text", help="the element to map, in the text formats")
+    map_cmd.add_argument(
+        "text", help="the element to map, in the text formats; - reads it from stdin"
+    )
 
     poset = sub.add_parser("poset", help="export a poset as DOT or JSON")
     poset.add_argument(
@@ -130,10 +132,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
+    # stdin carries elements longer than the OS allows for one argument
+    text = sys.stdin.read().removesuffix("\n") if args.text == "-" else args.text
     if args.direction == "f":
-        result = format_permutation(ncp_to_perm(parse_partition(args.text)))
+        result = format_permutation(ncp_to_perm(parse_partition(text)))
     else:
-        result = format_partition(perm_to_ncp(parse_permutation(args.text)))
+        result = format_partition(perm_to_ncp(parse_permutation(text)))
     sys.stdout.write(result + "\n")
     return 0
 

@@ -17,9 +17,9 @@ class CapacityError(Exception):
 #: construction holds one bit row per element.  A "check" entry is the
 #: largest size at which that check stays exhaustive within an interactive
 #: budget.  The last three are sizes inside a check: the lemma check
-#: compares the recursive counter with the census entry by entry only up
-#: to its entry, and the sperner suite runs its two heavier parts at the
-#: smaller of their entry and its own size.
+#: compares the census and the counter with a tally over the enumeration
+#: only up to its entry, and the sperner suite runs its two heavier parts
+#: at the smaller of their entry and its own size.
 CAPACITY = {
     "enumeration": 12,
     "poset construction": 9,

@@ -18,6 +18,7 @@ from .counting import catalan, narayana
 from .descent_sets import DescentSet, reverse_complement_mask
 from .duality import check_coarsening, check_self_duality
 from .errors import CAPACITY, check_capacity
+from .permutations import descent_mask, enumerate_av132
 from .poset import build_descent_poset, build_refinement_poset
 from .reports import VerificationReport, note_violation
 
@@ -54,11 +55,16 @@ def check_rank_statistics(n: int) -> VerificationReport:
 
 def check_census_symmetry(n: int) -> VerificationReport:
     """Census counts are invariant under reverse complement of the descent
-    set, and (at recursion scale) match the enumeration-free counter."""
+    set, and (at recursion scale) the census and the single-mask counter
+    both match a tally over the enumeration."""
     start = time.perf_counter()
     census = build_census(n)
     violations: list[str] = []
-    compare_recursion = n <= CAPACITY["lemma recursion agreement"]
+    tally = None
+    if n <= CAPACITY["lemma recursion agreement"]:
+        tally = [0] * len(census)
+        for perm in enumerate_av132(n):
+            tally[descent_mask(perm)] += 1
     for mask, count in enumerate(census):
         partner = reverse_complement_mask(n, mask)
         if count != census[partner]:
@@ -67,11 +73,13 @@ def check_census_symmetry(n: int) -> VerificationReport:
                 f"count {count} at {DescentSet(n, mask)} != "
                 f"count {census[partner]} at {DescentSet(n, partner)}",
             )
-        if compare_recursion and count_by_descent_set(n, mask) != count:
-            note_violation(
-                violations,
-                f"recursive counter disagrees with census at {DescentSet(n, mask)}",
-            )
+        if tally is not None:
+            for name, value in ("census", count), ("counter", count_by_descent_set(n, mask)):
+                if value != tally[mask]:
+                    note_violation(
+                        violations,
+                        f"{name} disagrees with enumeration at {DescentSet(n, mask)}",
+                    )
     if sum(census) != catalan(n):
         note_violation(violations, f"census total {sum(census)} != catalan({n})")
     return VerificationReport(

@@ -7,8 +7,9 @@ time.  Slow is fine; these run at small sizes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -34,6 +35,67 @@ def brute_descent_mask(perm: Sequence[int]) -> int:
         if perm[i] > perm[i + 1]:
             mask |= 1 << i
     return mask
+
+
+@lru_cache(maxsize=None)
+def split_count_by_descent_set(n: int, mask: int) -> int:
+    """132-avoiders of [n] with descent mask `mask`, by splitting at the
+    position k of n.
+
+    The k - 1 entries left of n are the top values and avoid 132, and so
+    do the entries right of it.  n sits after an ascent at k - 1 and
+    before a descent at k (unless k = n), so the mask must have bit k - 2
+    clear and bit k - 1 set exactly when k < n; the left part keeps the
+    bits below k - 2 and the right part the bits above k, shifted down.
+    """
+    if n <= 1:
+        return 1
+    total = 0
+    for k in range(1, n + 1):
+        if k >= 2 and mask >> (k - 2) & 1:
+            continue
+        if (mask >> (k - 1) & 1) != (k < n):
+            continue
+        left = mask & ((1 << max(k - 2, 0)) - 1)
+        total += split_count_by_descent_set(k - 1, left) * split_count_by_descent_set(
+            n - k, mask >> k
+        )
+    return total
+
+
+def count_noncrossing_by_minima(n: int, minima: Iterable[int]) -> int:
+    """Number of noncrossing partitions of [n] whose set of block minima is
+    exactly the given set.
+
+    Scan 1..n keeping only the number of open blocks: a prescribed minimum
+    opens a block; any other element joins an open block, closing the
+    blocks opened after it (joining a block while a later-opened block is
+    still live would cross it).  Joining from depth d can land at any depth
+    1..d, so the transition is a suffix sum.
+
+    >>> count_noncrossing_by_minima(4, [1, 2])
+    3
+    >>> count_noncrossing_by_minima(4, [2, 3])
+    0
+    """
+    minima_mask = 0
+    for m in minima:
+        if not 1 <= m <= n:
+            raise ValueError(f"minimum {m} outside 1..{n}")
+        minima_mask |= 1 << (m - 1)
+    depth = [0] * (n + 1)
+    depth[0] = 1
+    for x in range(1, n + 1):
+        if minima_mask >> (x - 1) & 1:
+            depth = [0] + depth[:-1]
+        else:
+            total = 0
+            new = [0] * (n + 1)
+            for d in range(n, 0, -1):
+                total += depth[d]
+                new[d] = total
+            depth = new
+    return sum(depth)
 
 
 def brute_set_partitions(n: int) -> Iterator[Blocks]:

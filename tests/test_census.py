@@ -1,17 +1,15 @@
+import random
 from collections import Counter
 
 import pytest
 
 import support
-from catalan_posets.census import (
-    build_census,
-    census_to_csv,
-    count_by_descent_set,
-    count_noncrossing_by_minima,
-)
+from catalan_posets import verify
+from catalan_posets.census import build_census, census_to_csv, count_by_descent_set
 from catalan_posets.counting import catalan
 from catalan_posets.descent_sets import reverse_complement_mask
 from catalan_posets.errors import CapacityError
+from catalan_posets.permutations import descent_mask, enumerate_av132
 
 
 def test_census_matches_symmetric_group_filter():
@@ -23,6 +21,53 @@ def test_census_matches_symmetric_group_filter():
         census = build_census(n)
         for mask in range(1 << (n - 1)):
             assert census[mask] == expected[mask]
+
+
+def test_census_matches_enumeration_tally():
+    # the transfer never lists a permutation; the enumeration does
+    for n in range(1, 13):
+        tally = [0] * (1 << (n - 1))
+        for perm in enumerate_av132(n):
+            tally[descent_mask(perm)] += 1
+        assert build_census(n) == tuple(tally)
+
+
+def test_counter_matches_split_recurrence():
+    # every mask beyond the enumeration cap, against splitting at n
+    for n in range(13, 17):
+        for mask in range(1 << (n - 1)):
+            assert count_by_descent_set(n, mask) == support.split_count_by_descent_set(
+                n, mask
+            )
+
+
+@pytest.mark.parametrize("n, draws", [(300, 20), (2000, 3)])
+def test_counter_symmetry_has_no_size_cap(n, draws):
+    rng = random.Random(n)
+    for _ in range(draws):
+        mask = rng.getrandbits(n - 1)
+        partner = reverse_complement_mask(n, mask)
+        count = count_by_descent_set(n, mask)
+        assert count > 0
+        assert count == count_by_descent_set(n, partner)
+
+
+def test_lemma_check_compares_census_with_enumeration(monkeypatch):
+    bad = list(build_census(9))
+    bad[5] += 1
+    monkeypatch.setattr(verify, "build_census", lambda n: tuple(bad))
+    report = verify.check_census_symmetry(9)
+    assert not report.passed
+    assert "census disagrees with enumeration at {1,3}" in report.violations
+
+
+def test_lemma_check_compares_counter_with_enumeration(monkeypatch):
+    real = count_by_descent_set
+    monkeypatch.setattr(
+        verify, "count_by_descent_set", lambda n, mask: real(n, mask) + (mask == 5)
+    )
+    report = verify.check_census_symmetry(9)
+    assert report.violations == ("counter disagrees with enumeration at {1,3}",)
 
 
 def test_census_totals_are_catalan():
@@ -63,15 +108,15 @@ def test_recursive_counter_symmetry():
 def test_count_noncrossing_by_minima_edge_cases():
     # minima {1} alone forces the one-block partition
     for n in range(1, 10):
-        assert count_noncrossing_by_minima(n, {1}) == 1
+        assert support.count_noncrossing_by_minima(n, {1}) == 1
     # all of 1..n as minima forces all singletons
-    assert count_noncrossing_by_minima(5, {1, 2, 3, 4, 5}) == 1
+    assert support.count_noncrossing_by_minima(5, {1, 2, 3, 4, 5}) == 1
     # minima summed over all subsets containing 1 covers every partition
     for n in range(1, 9):
         total = 0
         for rest in range(1 << (n - 1)):
             minima = {1} | {i + 2 for i in range(n - 1) if rest >> i & 1}
-            total += count_noncrossing_by_minima(n, minima)
+            total += support.count_noncrossing_by_minima(n, minima)
         assert total == catalan(n)
 
 
@@ -81,7 +126,7 @@ def test_count_noncrossing_by_minima_matches_enumeration():
     for n in range(1, 9):
         tally = Counter(block_minima(q) for q in enumerate_ncp(n))
         for minima, expected in tally.items():
-            assert count_noncrossing_by_minima(n, minima) == expected
+            assert support.count_noncrossing_by_minima(n, minima) == expected
 
 
 def test_descent_count_distribution_is_narayana():

@@ -287,3 +287,29 @@ def test_map_at_large_n(capsys, argv, partner):
         assert (code, out, err) == (0, partner + "\n", "")
     else:
         assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith("error:")
+
+
+def test_map_reads_element_from_stdin():
+    # the singletons of [20000] as text are 148,893 bytes, over Linux's
+    # 128 KiB limit for one argument, so they can only come in on stdin
+    n = 20000
+    singletons = "/".join(f"{{{x}}}" for x in range(1, n + 1))
+    result = subprocess.run(
+        [sys.executable, "-m", "catalan_posets", "map", "f", "-"],
+        input=singletons + "\n",
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == ",".join(map(str, range(n, 0, -1))) + "\n"
+    result = subprocess.run(
+        [sys.executable, "-m", "catalan_posets", "map", "finv", "-"],
+        input="64573812\n",
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0,
+        "{1,4,6}/{2,3}/{5}/{7,8}\n",
+        "",
+    )
