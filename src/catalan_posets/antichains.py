@@ -6,10 +6,13 @@ minimum chain cover, and unreachable/reachable sides of the final
 alternating search certify a maximum antichain of the same size.
 
 The largest union of k antichains comes from the chain side of
-Greene-Kleitman duality: successive shortest augmenting paths in a
-min-cost flow build chain families whose coverage gains form a partition,
-and the conjugate partial sums of that partition are the k-antichain
-numbers.
+Greene-Kleitman duality: a min-cost flow builds chain families whose
+coverage gains form a partition, and the conjugate partial sums of that
+partition are the k-antichain numbers.  The flow is primal-dual (Frank
+1980): each phase runs one Dijkstra on reduced costs, which fixes the
+next gain, then a max flow over the arcs of reduced cost 0 finds every
+chain of that gain at once, so there is one shortest-path run per
+distinct gain rather than one per chain.
 """
 
 from __future__ import annotations
@@ -156,12 +159,29 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
     Entry sums give the most elements coverable by 1, 2, ... disjoint
     chains; the whole profile is a partition of the element count.  Found
     by min-cost flow on the split graph (each element crossed at gain 1),
-    one augmentation per chain, Dijkstra on reduced costs with potentials
-    seeded by a rank-order relaxation.  Once a chain gains only a single
-    element all later ones do too, so the tail is filled without flows.
+    with potentials seeded by a rank-order relaxation, which is exact
+    because every strict comparability goes up in rank (checked first).
+    Each primal-dual phase runs one Dijkstra on reduced costs, which
+    fixes the next gain, then a max flow over the residual arcs of
+    reduced cost 0: every path it finds is a chain of that gain.  Once
+    the gain is a single element all later ones are too, so the tail is
+    filled without flows.
+
+    >>> from .poset import build_descent_poset
+    >>> chain_cover_profile(build_descent_poset(4)) == (4, 2, 2, 2, 2, 2)
+    True
     """
     size = poset.size
     strict = _strict_rows(poset)
+    at_most = [0] * (max(poset.ranks, default=-1) + 1)
+    for i, r in enumerate(poset.ranks):
+        at_most[r] |= 1 << i
+    for r in range(1, len(at_most)):
+        at_most[r] |= at_most[r - 1]
+    if any(strict[i] & at_most[r] for i, r in enumerate(poset.ranks)):
+        raise ValueError(
+            "ranks do not grade the order: some element is below one of no higher rank"
+        )
     source = 2 * size
     sink = 2 * size + 1
     node_count = 2 * size + 2
@@ -187,8 +207,7 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
         for j in iter_bits(strict[i]):
             add_edge(2 * i + 1, 2 * j, 1, 0)
 
-    # exact initial distances by relaxing in rank order (strict edges only
-    # ever point to higher ranks in these posets)
+    # exact initial distances by relaxing in rank order
     dist0 = [_INF] * node_count
     dist0[source] = 0
     for i in range(size):
@@ -210,7 +229,6 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
     while covered < size:
         dist = [_INF] * node_count
         dist[source] = 0
-        parent = [-1] * node_count
         heap = [(0, source)]
         while heap:
             d, u = heappop(heap)
@@ -224,7 +242,6 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
                 nd = d + cost[eid] + pu - potential[v]
                 if nd < dist[v]:
                     dist[v] = nd
-                    parent[v] = eid
                     heappush(heap, (nd, v))
         reach = dist[sink]
         if reach == _INF:
@@ -236,14 +253,56 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
             raise RuntimeError("augmentation gains are not a nonincreasing partition")
         if gain == 1:
             break
-        v = sink
-        while v != source:
-            eid = parent[v]
-            cap[eid] -= 1
-            cap[eid ^ 1] += 1
-            v = to[eid ^ 1]
-        profile.append(gain)
-        covered += gain
+        # max flow over the arcs of reduced cost 0; the reverse of such an
+        # arc has reduced cost 0 too, so every path found costs -gain.
+        # Each pass is one depth-first search on an explicit stack with
+        # current-arc pointers and dead-node marks; an augmentation can
+        # revive a dead node, so passes repeat until one finds nothing.
+        paths = 0
+        while True:
+            found = 0
+            pointer = [0] * node_count
+            blocked = [False] * node_count  # dead, or on the current path
+            blocked[source] = True
+            path = [source]
+            arcs: list[int] = []
+            while path:
+                u = path[-1]
+                if u == sink:
+                    for eid in arcs:
+                        cap[eid] -= 1
+                        cap[eid ^ 1] += 1
+                    for v in path[1:]:
+                        blocked[v] = False
+                    del path[1:]
+                    arcs.clear()
+                    found += 1
+                    continue
+                edges = adjacency[u]
+                pu = potential[u]
+                k = pointer[u]
+                while k < len(edges):
+                    eid = edges[k]
+                    v = to[eid]
+                    if cap[eid] > 0 and not blocked[v] and cost[eid] + pu == potential[v]:
+                        break
+                    k += 1
+                pointer[u] = k
+                if k == len(edges):
+                    path.pop()  # u stays blocked: dead for this pass
+                    if arcs:
+                        arcs.pop()
+                    continue
+                blocked[v] = True
+                path.append(v)
+                arcs.append(eid)
+            if not found:
+                break
+            paths += found
+        if not paths:
+            raise RuntimeError("no path of reduced cost 0 although the sink was reached")
+        profile.extend([gain] * paths)
+        covered += gain * paths
     profile.extend([1] * (size - covered))
     return tuple(profile)
 

@@ -8,6 +8,7 @@ time.  Slow is fine; these run at small sizes.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -363,3 +364,104 @@ def transitive_reduction(
                     reached |= leq_rows[z] & ~(1 << z)
         rows.append(strict & ~reached)
     return tuple(rows)
+
+
+INF = float("inf")
+
+
+def successive_shortest_profile(poset) -> tuple[int, ...]:
+    """Nonincreasing coverage gains of successive optimal chain families,
+    one augmenting path per chain.
+
+    Min-cost flow on the split graph (each element crossed at gain 1):
+    every augmentation runs Dijkstra on reduced costs with potentials
+    seeded by a rank-order relaxation, and its gain is minus the sink's
+    potential.  Once a chain gains only a single element all later ones
+    do too, so the tail is filled without flows.
+    """
+    size = poset.size
+    strict = [poset.leq_rows[i] & ~(1 << i) for i in range(size)]
+    source = 2 * size
+    sink = 2 * size + 1
+    node_count = 2 * size + 2
+    to: list[int] = []
+    cap: list[int] = []
+    cost: list[int] = []
+    adjacency: list[list[int]] = [[] for _ in range(node_count)]
+
+    def add_edge(u: int, v: int, c: int, w: int) -> None:
+        adjacency[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        cost.append(w)
+        adjacency[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+        cost.append(-w)
+
+    for i in range(size):
+        add_edge(source, 2 * i, 1, 0)
+        add_edge(2 * i, 2 * i + 1, 1, -1)
+        add_edge(2 * i + 1, sink, 1, 0)
+        for j in iter_bits(strict[i]):
+            add_edge(2 * i + 1, 2 * j, 1, 0)
+
+    # exact initial distances by relaxing in rank order (strict edges only
+    # ever point to higher ranks in these posets)
+    dist0 = [INF] * node_count
+    dist0[source] = 0
+    for i in range(size):
+        dist0[2 * i] = 0
+    for i in sorted(range(size), key=poset.ranks.__getitem__):
+        through = dist0[2 * i] - 1
+        if through < dist0[2 * i + 1]:
+            dist0[2 * i + 1] = through
+        out = dist0[2 * i + 1]
+        if out < dist0[sink]:
+            dist0[sink] = out
+        for j in iter_bits(strict[i]):
+            if out < dist0[2 * j]:
+                dist0[2 * j] = out
+    potential = dist0
+
+    profile: list[int] = []
+    covered = 0
+    while covered < size:
+        dist = [INF] * node_count
+        dist[source] = 0
+        parent = [-1] * node_count
+        heap = [(0, source)]
+        while heap:
+            d, u = heappop(heap)
+            if d > dist[u]:
+                continue
+            pu = potential[u]
+            for eid in adjacency[u]:
+                if cap[eid] <= 0:
+                    continue
+                v = to[eid]
+                nd = d + cost[eid] + pu - potential[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = eid
+                    heappush(heap, (nd, v))
+        reach = dist[sink]
+        if reach == INF:
+            raise RuntimeError("no augmenting path although elements remain uncovered")
+        for v in range(node_count):
+            potential[v] += min(dist[v], reach)
+        gain = -int(potential[sink])
+        if gain <= 0 or (profile and gain > profile[-1]):
+            raise RuntimeError("augmentation gains are not a nonincreasing partition")
+        if gain == 1:
+            break
+        v = sink
+        while v != source:
+            eid = parent[v]
+            cap[eid] -= 1
+            cap[eid ^ 1] += 1
+            v = to[eid ^ 1]
+        profile.append(gain)
+        covered += gain
+    profile.extend([1] * (size - covered))
+    return tuple(profile)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 
@@ -13,7 +14,7 @@ from catalan_posets.antichains import (
     max_k_antichain_union,
 )
 from catalan_posets.counting import narayana
-from catalan_posets.poset import build_descent_poset, build_refinement_poset
+from catalan_posets.poset import GradedPoset, build_descent_poset, build_refinement_poset
 
 
 def both_posets(n):
@@ -135,6 +136,68 @@ def test_profile_golden_small():
     assert chain_cover_profile(build_descent_poset(3)) == (3, 1, 1)
     assert chain_cover_profile(build_descent_poset(4)) == (4, 2, 2, 2, 2, 2)
     assert chain_cover_profile(build_refinement_poset(4)) == (4, 2, 2, 2, 2, 2)
+
+
+def random_graded_poset(rng, size, density):
+    """Transitive closure of a random DAG on shuffled labels, ranked by
+    longest chain from below."""
+    up = [1 << i for i in range(size)]
+    for i in reversed(range(size)):
+        for j in range(i + 1, size):
+            if rng.random() < density:
+                up[i] |= up[j]
+    ranks = [0] * size
+    for i in range(size):
+        for j in support.iter_bits(up[i] & ~(1 << i)):
+            ranks[j] = max(ranks[j], ranks[i] + 1)
+    label = rng.sample(range(size), size)
+    leq_rows = [0] * size
+    shuffled_ranks = [0] * size
+    for i in range(size):
+        leq_rows[label[i]] = sum(1 << label[j] for j in support.iter_bits(up[i]))
+        shuffled_ranks[label[i]] = ranks[i]
+    covers = support.transitive_reduction(leq_rows, shuffled_ranks)
+    return GradedPoset(
+        "random", size, tuple(range(size)), tuple(shuffled_ranks), tuple(leq_rows), covers
+    )
+
+
+def test_profile_matches_one_path_per_chain_oracle_on_both_families():
+    for n in range(1, 8):
+        for poset in both_posets(n):
+            assert chain_cover_profile.__wrapped__(
+                poset
+            ) == support.successive_shortest_profile(poset)
+
+
+def test_profile_matches_one_path_per_chain_oracle_on_random_posets():
+    rng = random.Random(7)
+    for _ in range(300):
+        poset = random_graded_poset(rng, rng.randint(1, 60), rng.choice((0.03, 0.1, 0.25, 0.5, 0.9)))
+        assert chain_cover_profile.__wrapped__(
+            poset
+        ) == support.successive_shortest_profile(poset)
+
+
+def test_profile_at_eight_is_the_conjugate_of_the_rank_sizes():
+    # the Greene-Kleitman partition of a strongly Sperner poset
+    for poset in both_posets(8):
+        sizes = poset.rank_sizes()
+        conjugate = tuple(sum(1 for s in sizes if s > k) for k in range(max(sizes)))
+        assert chain_cover_profile(poset) == conjugate
+
+
+def test_profile_rejects_ranks_that_do_not_grade_the_order():
+    p4 = build_descent_poset(4)
+    reversed_ranks = tuple(p4.height - 1 - r for r in p4.ranks)
+    # a 3-chain listed top first: element 0 is the top, 2 the bottom
+    chain_rows = (0b001, 0b011, 0b111)
+    chain_covers = (0, 0b001, 0b010)
+    upside_down = GradedPoset("chain", 3, (0, 1, 2), (0, 1, 2), chain_rows, chain_covers)
+    for poset in dataclasses.replace(p4, ranks=reversed_ranks), upside_down:
+        with pytest.raises(ValueError, match="ranks do not grade the order"):
+            chain_cover_profile(poset)
+    assert chain_cover_profile(dataclasses.replace(upside_down, ranks=(2, 1, 0))) == (3,)
 
 
 def test_chain_union_sums_match_maximal_chain_bruteforce():

@@ -11,8 +11,11 @@ side's median and quartiles over the paired runs, the values in seed
 order, the number of pairs, and the number of pairs the change wins.
 Every metric of the benchmark is lower-is-better, so the change wins a
 pair when its value is lower; a tie counts for neither side.  Operations
-attempted and failed are summed per side.  Only the standard library is
-used.
+attempted and failed are summed per side.  For each untraced workload,
+"operations_unscaled_s" holds each operation's median raw cold and warm
+seconds per side, over every pass of the paired runs, not scaled to the
+reference loop; it shows which operations a change moved.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -29,14 +32,14 @@ SIDES = ("parent", "change")
 
 
 def load_records(tree: Path) -> dict[tuple[str, int], dict]:
-    """{(workload key, seed): run result} for every record under tree."""
+    """{(workload key, seed): run record} for every record under tree."""
     records = {}
     for path in sorted((tree / ".bench_runs").glob("*-trace*.json")):
         match = RECORD.fullmatch(path.name)
         if match is None:
             continue
         key = match["workload"] + (" traced" if match["trace"] == "1" else "")
-        records[key, int(match["seed"])] = json.loads(path.read_text())["result"]
+        records[key, int(match["seed"])] = json.loads(path.read_text())
     return records
 
 
@@ -48,14 +51,30 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def operation_medians(runs: dict[str, list[dict]]) -> dict:
+    """{operation: {"cold"|"warm": {side: median raw seconds}}}, in pass order."""
+    out: dict[str, dict] = {}
+    for mode in ("cold", "warm"):
+        for side in SIDES:
+            seconds: dict[str, list[float]] = {}
+            for run in runs[side]:
+                for one_pass in run[mode]:
+                    for op in one_pass:
+                        seconds.setdefault(op["op"], []).append(op["seconds"])
+            for name, values in seconds.items():
+                out.setdefault(name, {}).setdefault(mode, {})[side] = statistics.median(values)
+    return out
+
+
 def summarise(parent: dict, change: dict) -> dict:
     """The summary of the runs both sides made, keyed by workload."""
     paired = sorted(set(parent) & set(change))
     out: dict[str, dict] = {}
     for workload in sorted({key for key, _ in paired}):
         seeds = [seed for key, seed in paired if key == workload]
-        runs = {side: [records[workload, seed] for seed in seeds]
-                for side, records in zip(SIDES, (parent, change))}
+        records = {side: [tree[workload, seed] for seed in seeds]
+                   for side, tree in zip(SIDES, (parent, change))}
+        runs = {side: [record["result"] for record in records[side]] for side in SIDES}
         metrics = {}
         for name, first in runs["parent"][0]["metrics"].items():
             values = {side: [run["metrics"][name]["value"] for run in runs[side]]
@@ -72,6 +91,8 @@ def summarise(parent: dict, change: dict) -> dict:
                for field in ("attempted", "failed")},
             "metrics": metrics,
         }
+        if not workload.endswith(" traced"):
+            out[workload]["operations_unscaled_s"] = operation_medians(records)
     return out
 
 
