@@ -23,8 +23,8 @@ from .permutations import enumerate_av132, format_permutation, parse_permutation
 from .poset import (
     build_descent_poset,
     build_refinement_poset,
-    poset_to_dot,
-    poset_to_json,
+    iter_poset_dot,
+    iter_poset_json,
 )
 from .verify import CHECKS, run_checks
 
@@ -102,22 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_lines(lines: Iterable[str], path: str | None) -> None:
+def _write(chunks: Iterable[str], path: str | None) -> None:
+    """Write each chunk as it comes, to stdout or to a new file at path."""
     if path is None:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     else:
         with open(path, "w", newline="") as handle:
-            for line in lines:
-                handle.write(line + "\n")
-
-
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -127,7 +120,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         lines = map(format_partition, enumerate_ncp(args.n))
     if args.limit is not None:
         lines = islice(lines, args.limit)
-    _write_lines(lines, args.output)
+    _write((line + "\n" for line in lines), args.output)
     return 0
 
 
@@ -145,13 +138,13 @@ def _cmd_map(args: argparse.Namespace) -> int:
 def _cmd_poset(args: argparse.Namespace) -> int:
     builder = build_descent_poset if args.family == "P" else build_refinement_poset
     poset = builder(args.n)
-    text = poset_to_dot(poset) if args.format == "dot" else poset_to_json(poset)
-    _write_text(text, args.output)
+    writer = iter_poset_dot if args.format == "dot" else iter_poset_json
+    _write(writer(poset), args.output)
     return 0
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    _write_text(census_to_csv(args.n), args.output)
+    _write((census_to_csv(args.n),), args.output)
     return 0
 
 

@@ -8,6 +8,7 @@ noncrossing.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -128,6 +129,13 @@ def format_partition(partition: SetPartition) -> str:
     )
 
 
+#: One block: ASCII decimal numbers without sign or leading zero, joined by
+#: commas inside braces; a partition is one or more blocks joined by "/".
+_BLOCK = r"\{(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*\}"
+_BLOCK_TEXT = re.compile(_BLOCK)
+_PARTITION_TEXT = re.compile(f"{_BLOCK}(?:/{_BLOCK})*")
+
+
 def parse_partition(text: str) -> SetPartition:
     """Parse the format_partition rendering; blocks may come in any order.
 
@@ -136,12 +144,9 @@ def parse_partition(text: str) -> SetPartition:
     """
     if not text:
         raise ValueError("empty partition text")
-    blocks = []
-    for chunk in text.split("/"):
-        if not (chunk.startswith("{") and chunk.endswith("}")) or len(chunk) < 3:
-            raise ValueError(f"malformed block text: {chunk!r}")
-        try:
-            blocks.append([int(part) for part in chunk[1:-1].split(",")])
-        except ValueError:
-            raise ValueError(f"malformed block text: {chunk!r}") from None
-    return SetPartition.from_blocks(blocks)
+    if _PARTITION_TEXT.fullmatch(text) is None:
+        bad = next(c for c in text.split("/") if _BLOCK_TEXT.fullmatch(c) is None)
+        raise ValueError(f"malformed block text: {bad!r}")
+    return SetPartition.from_blocks(
+        map(int, chunk[1:-1].split(",")) for chunk in text.split("/")
+    )

@@ -7,6 +7,7 @@ are 1-based throughout the public API.  A permutation contains the pattern
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -83,6 +84,12 @@ def format_permutation(entries: Sequence[int]) -> str:
     return ",".join(str(x) for x in p)
 
 
+#: Either rendering: a run of ASCII digits, or two or more ASCII decimal
+#: numbers without sign or leading zero, joined by commas.  A zero entry
+#: passes here and is rejected by check_permutation.
+_PERMUTATION_TEXT = re.compile(r"[0-9]+|(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))+")
+
+
 def parse_permutation(text: str) -> tuple[int, ...]:
     """Parse either rendering of format_permutation; rejects anything else.
 
@@ -93,14 +100,10 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     """
     if not text:
         raise ValueError("empty permutation text")
+    if _PERMUTATION_TEXT.fullmatch(text) is None:
+        raise ValueError(f"malformed permutation text: {text!r}")
     if "," in text:
-        parts = text.split(",")
-        try:
-            entries = tuple(int(part) for part in parts)
-        except ValueError:
-            raise ValueError(f"malformed permutation text: {text!r}") from None
+        entries = tuple(map(int, text.split(",")))
     else:
-        if not text.isdigit():
-            raise ValueError(f"malformed permutation text: {text!r}")
-        entries = tuple(int(ch) for ch in text)
+        entries = tuple(map(int, text))
     return check_permutation(entries)

@@ -159,28 +159,56 @@ def build_refinement_poset(n: int) -> GradedPoset:
     return GradedPoset("Q", n, elements, ranks, tuple(up), tuple(cover_rows))
 
 
+def iter_poset_json(poset: GradedPoset) -> Iterator[str]:
+    """The JSON document of poset_to_json, one cover row per chunk.
+
+    The layout is that of ``json.dumps(payload, indent=2)`` with keys n,
+    family, elements, ranks and covers, written without the encoder so
+    that no cover pair becomes a Python list.
+    """
+    labels = ",\n    ".join(json.dumps(poset.label(i)) for i in range(poset.size))
+    ranks = ",\n    ".join(map(str, poset.rank_sizes()))
+    yield (
+        f'{{\n  "n": {poset.n},\n  "family": {json.dumps(poset.family)},\n'
+        f'  "elements": [\n    {labels}\n  ],\n'
+        f'  "ranks": [\n    {ranks}\n  ],\n'
+    )
+    if not any(poset.cover_rows):
+        yield '  "covers": []\n}\n'
+        return
+    yield '  "covers": [\n'
+    separator = ""
+    for i, row in enumerate(poset.cover_rows):
+        if row:
+            pair = f"    [\n      {i},\n      "
+            upper = f"\n    ],\n{pair}".join(map(str, iter_bits(row)))
+            yield f"{separator}{pair}{upper}\n    ]"
+            separator = ",\n"
+    yield "\n  ]\n}\n"
+
+
+def iter_poset_dot(poset: GradedPoset) -> Iterator[str]:
+    """The Graphviz text of poset_to_dot, one cover row per chunk."""
+    labels = [poset.label(i) for i in range(poset.size)]
+    layers: list[list[str]] = [[] for _ in range(poset.height)]
+    for label, r in zip(labels, poset.ranks):
+        layers[r].append(f'"{label}";')
+    yield f"digraph {poset.family}{poset.n} {{\n  rankdir=BT;\n" + "".join(
+        f"  {{ rank=same; {' '.join(layer)} }}\n" for layer in layers
+    )
+    for i, row in enumerate(poset.cover_rows):
+        if row:
+            edge = f'  "{labels[i]}" -> "'
+            yield edge + f'";\n{edge}'.join(labels[j] for j in iter_bits(row)) + '";\n'
+    yield "}\n"
+
+
 def poset_to_json(poset: GradedPoset) -> str:
-    """JSON document with element labels, rank sizes and cover pairs."""
-    payload = {
-        "n": poset.n,
-        "family": poset.family,
-        "elements": [poset.label(i) for i in range(poset.size)],
-        "ranks": list(poset.rank_sizes()),
-        "covers": [[i, j] for i, j in poset.covers()],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """JSON document with element labels, rank sizes and cover pairs,
+    byte for byte ``json.dumps(payload, indent=2)`` plus a newline."""
+    return "".join(iter_poset_json(poset))
 
 
 def poset_to_dot(poset: GradedPoset) -> str:
     """Graphviz rendering of the cover relation, one rank per layer."""
-    labels = [poset.label(i) for i in range(poset.size)]
-    lines = [f"digraph {poset.family}{poset.n} {{", "  rankdir=BT;"]
-    for r in range(poset.height):
-        members = " ".join(
-            f'"{labels[i]}";' for i in range(poset.size) if poset.ranks[i] == r
-        )
-        lines.append(f"  {{ rank=same; {members} }}")
-    for i, j in poset.covers():
-        lines.append(f'  "{labels[i]}" -> "{labels[j]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(iter_poset_dot(poset))

@@ -7,6 +7,7 @@ time.  Slow is fine; these run at small sizes.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations, permutations
@@ -122,6 +123,34 @@ def brute_has_crossing(blocks: Blocks) -> bool:
                 if a < b < c < d or b < a < d < c:
                     return True
     return False
+
+
+def reference_poset_json(poset) -> str:
+    """The poset's JSON export through the standard encoder: the whole
+    payload as Python lists, then json.dumps with indent=2."""
+    payload = {
+        "n": poset.n,
+        "family": poset.family,
+        "elements": [poset.label(i) for i in range(poset.size)],
+        "ranks": list(poset.rank_sizes()),
+        "covers": [[i, j] for i, j in poset.covers()],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_poset_dot(poset) -> str:
+    """The poset's DOT export as one list of lines joined at the end."""
+    labels = [poset.label(i) for i in range(poset.size)]
+    lines = [f"digraph {poset.family}{poset.n} {{", "  rankdir=BT;"]
+    for r in range(poset.height):
+        members = " ".join(
+            f'"{labels[i]}";' for i in range(poset.size) if poset.ranks[i] == r
+        )
+        lines.append(f"  {{ rank=same; {members} }}")
+    for i, j in poset.covers():
+        lines.append(f'  "{labels[i]}" -> "{labels[j]}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def rejects(function, argument) -> bool:

@@ -66,6 +66,17 @@ def test_enumerate_over_capacity_creates_no_file(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_poset_over_capacity_creates_no_file(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(
+        capsys, "poset", "P", "--n", "10", "--format", "json", "--output", str(target)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_enumerate_rejects_zero(capsys):
     code, _, err = run_cli(capsys, "enumerate", "ncp", "--n", "0")
     assert code == 1
@@ -247,18 +258,30 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_closed_pipe_is_one_error_line():
+def assert_closed_pipe_is_one_error_line(argv, first_line):
     with subprocess.Popen(
-        [sys.executable, "-m", "catalan_posets", "enumerate", "ncp", "--n", "12"],
+        [sys.executable, "-m", "catalan_posets", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     ) as process:
-        assert process.stdout.readline() == b"{1,2,3,4,5,6,7,8,9,10,11,12}\n"
+        assert process.stdout.readline() == first_line
         process.stdout.close()
         err = process.stderr.read().decode()
         assert process.wait(timeout=60) == 1
     assert "Traceback" not in err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_closed_pipe_is_one_error_line():
+    assert_closed_pipe_is_one_error_line(
+        ["enumerate", "ncp", "--n", "12"], b"{1,2,3,4,5,6,7,8,9,10,11,12}\n"
+    )
+
+
+def test_streamed_poset_closed_pipe_is_one_error_line():
+    assert_closed_pipe_is_one_error_line(
+        ["poset", "P", "--n", "8", "--format", "json"], b"{\n"
+    )
 
 
 BIG = 2000

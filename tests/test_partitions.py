@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import support
@@ -140,4 +142,15 @@ def test_parse_partition_rejects_malformed():
         "{1},{2}",
     ]:
         with pytest.raises(ValueError):
+            parse_partition(bad)
+    # int() would take these: only ASCII digits without sign, space,
+    # underscore or leading zero are elements
+    for bad, block in [
+        ("{1, 2}", "{1, 2}"),
+        ("{+1}/{2}", "{+1}"),
+        ("{1_0}/{1,2,3,4,5,6,7,8,9}", "{1_0}"),
+        ("{2}/{01}", "{01}"),
+        ("{\u0661}", "{\u0661}"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"malformed block text: {block!r}")):
             parse_partition(bad)

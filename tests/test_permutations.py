@@ -108,3 +108,8 @@ def test_parse_permutation_rejects_malformed():
     for bad in ["", "10", "132x", "1,2,x", "0,1", "12,1", "1,1", " 132"]:
         with pytest.raises(ValueError):
             parse_permutation(bad)
+    # int() would take these: only ASCII digits without sign, space,
+    # underscore or leading zero are entries
+    for bad in [" 2,1", "2,1 ", "+2,1", "2,-1", "1_0,1", "01,2", "\u0661\u0662", "\u00b2"]:
+        with pytest.raises(ValueError, match="^malformed permutation text"):
+            parse_permutation(bad)

@@ -1,9 +1,12 @@
+import contextlib
 import json
+import tracemalloc
 
 import pytest
 
 import support
 from catalan_posets.bijection import ncp_to_perm
+from catalan_posets.cli import main
 from catalan_posets.counting import narayana
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.partitions import enumerate_ncp, format_partition
@@ -223,6 +226,48 @@ def test_json_round_trip():
 
 def test_json_ends_with_newline():
     assert poset_to_json(build_descent_poset(2)).endswith("\n")
+
+
+@pytest.mark.parametrize("n", range(1, CAPACITY["poset construction"] + 1))
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_export_matches_reference_writers(tmp_path, capsys, family, n):
+    # n = 1 has no covers, so its JSON carries "covers": []
+    poset = (build_descent_poset if family == "P" else build_refinement_poset)(n)
+    expected = {
+        "json": support.reference_poset_json(poset),
+        "dot": support.reference_poset_dot(poset),
+    }
+    assert poset_to_json(poset) == expected["json"]
+    assert poset_to_dot(poset) == expected["dot"]
+    for fmt, text in expected.items():
+        argv = ["poset", family, "--n", str(n), "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
+        target = tmp_path / f"out.{fmt}"
+        assert main([*argv, "--output", str(target)]) == 0
+        assert target.read_bytes() == text.encode()
+
+
+class _Sink:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_streamed_export_holds_no_document(fmt):
+    # the P8 JSON is 2.66 MB; built whole, it peaked at 28 MB (DOT: 10.9 MB)
+    build_descent_poset(8)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Sink()):
+            assert main(["poset", "P", "--n", "8", "--format", fmt]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_capacity_bounds():
