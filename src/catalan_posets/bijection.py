@@ -78,7 +78,9 @@ def perm_to_ncp(perm: Sequence[int]) -> SetPartition:
         block.append(j)
         smallest = min(smallest, x)
         stack.append((x, block, smallest))
-    return SetPartition(len(entries), tuple(map(tuple, blocks)))
+    # blocks open in order of their minima and take positions in increasing
+    # order, so they are canonical as built
+    return SetPartition._trusted(len(entries), tuple(map(tuple, blocks)))
 
 
 def partition_descent_set(partition: SetPartition) -> DescentSet:

@@ -103,14 +103,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write(chunks: Iterable[str], path: str | None) -> None:
-    """Write each chunk as it comes, to stdout or to a new file at path."""
-    if path is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
-    else:
+    """Write each chunk as it comes, to stdout or to a new file at path.
+
+    On stdout each chunk goes to the binary layer until all of it is
+    taken.  Unbuffered, that layer is the raw file, whose write returns a
+    short count when the reader closes the pipe mid-chunk; the text layer
+    would drop the rest unseen, while writing the rest raises
+    BrokenPipeError.
+    """
+    if path is not None:
         with open(path, "w", newline="") as handle:
             for chunk in chunks:
                 handle.write(chunk)
+        return
+    out = sys.stdout
+    binary = getattr(out, "buffer", None)
+    if binary is None:  # a text-only stream such as io.StringIO
+        for chunk in chunks:
+            out.write(chunk)
+        return
+    out.flush()
+    for chunk in chunks:
+        data = chunk.encode(out.encoding, out.errors)
+        while data:
+            data = data[binary.write(data) :]
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -120,7 +136,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         lines = map(format_partition, enumerate_ncp(args.n))
     if args.limit is not None:
         lines = islice(lines, args.limit)
-    _write((line + "\n" for line in lines), args.output)
+    # each stdout write is encoded and written on its own, so write
+    # blocks of a thousand lines rather than single lines
+    blocks = iter(lambda: list(islice(lines, 1000)), [])
+    _write(("\n".join(block) + "\n" for block in blocks), args.output)
     return 0
 
 
@@ -131,7 +150,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         result = format_permutation(ncp_to_perm(parse_partition(text)))
     else:
         result = format_partition(perm_to_ncp(parse_permutation(text)))
-    sys.stdout.write(result + "\n")
+    _write((result + "\n",), None)
     return 0
 
 

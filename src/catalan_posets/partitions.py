@@ -57,6 +57,19 @@ class SetPartition:
             raise ValueError(f"blocks do not cover 1..{self.n}")
 
     @classmethod
+    def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> SetPartition:
+        """Wrap blocks already in canonical form, skipping validation.
+
+        Only for producers that build canonical blocks by construction:
+        _stream_ncp and bijection.perm_to_ncp.
+        """
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["n"] = n
+        fields["blocks"] = blocks
+        return self
+
+    @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> SetPartition:
         """Canonicalize arbitrary block order and validate."""
         canonical = tuple(sorted(tuple(sorted(block)) for block in blocks))
@@ -95,38 +108,60 @@ def enumerate_ncp(n: int) -> Iterator[SetPartition]:
 
 
 def _stream_ncp(n: int) -> Iterator[SetPartition]:
-    blocks: list[list[int]] = []
+    # One flat loop over elements 1..n-1.  `stack` holds the indices of the
+    # open blocks, innermost on top; joining stack[depth] closes the blocks
+    # above it, which go to the undo log with the choice made.  Open blocks
+    # carry increasing indices from stack bottom to top, so trying depths
+    # bottom-up tries block indices in increasing order, which is
+    # lexicographic order on the growth string.  Element n closes nothing,
+    # so each of its choices is a leaf read straight off the blocks.
+    trusted = SetPartition._trusted
+    blocks: list[tuple[int, ...]] = []
     stack: list[int] = []
-
-    def extend(x: int) -> Iterator[SetPartition]:
-        if x > n:
-            yield SetPartition(n, tuple(tuple(block) for block in blocks))
-            return
-        # open blocks carry increasing indices from stack bottom to top, so
-        # scanning the stack bottom-up tries block indices in increasing
-        # order, which is lexicographic order on the growth string
-        for depth in range(len(stack)):
-            target = stack[depth]
-            suspended = stack[depth + 1 :]
-            del stack[depth + 1 :]
-            blocks[target].append(x)
-            yield from extend(x + 1)
-            blocks[target].pop()
-            stack.extend(suspended)
-        blocks.append([x])
-        stack.append(len(blocks) - 1)
-        yield from extend(x + 1)
-        stack.pop()
+    log: list[tuple[int, list[int] | None]] = []
+    x, depth = 1, 0
+    while True:
+        while x < n:
+            if depth < len(stack):
+                target = stack[depth]
+                log.append((depth, stack[depth + 1 :]))
+                del stack[depth + 1 :]
+                blocks[target] += (x,)
+            else:
+                log.append((depth, None))
+                stack.append(len(blocks))
+                blocks.append((x,))
+            x, depth = x + 1, 0
+        for target in stack:
+            block = blocks[target]
+            blocks[target] = block + (n,)
+            yield trusted(n, tuple(blocks))
+            blocks[target] = block
+        blocks.append((n,))
+        yield trusted(n, tuple(blocks))
         blocks.pop()
-
-    yield from extend(1)
+        # back up to the deepest element with a choice left
+        while True:
+            if not log:
+                return
+            x -= 1
+            depth, closed = log.pop()
+            if closed is None:
+                stack.pop()
+                blocks.pop()
+            else:
+                target = stack[-1]
+                blocks[target] = blocks[target][:-1]
+                stack += closed
+            depth += 1
+            if depth <= len(stack):
+                break
 
 
 def format_partition(partition: SetPartition) -> str:
     """Render canonical blocks as ``{1,4,6}/{2,3}/{5}/{7,8}``."""
-    return "/".join(
-        "{" + ",".join(str(x) for x in block) + "}" for block in partition.blocks
-    )
+    blocks = partition.blocks
+    return "{" + "}/{".join(",".join(map(str, block)) for block in blocks) + "}"
 
 
 #: One block: ASCII decimal numbers without sign or leading zero, joined by

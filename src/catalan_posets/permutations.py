@@ -80,8 +80,8 @@ def format_permutation(entries: Sequence[int]) -> str:
     """
     p = check_permutation(entries)
     if len(p) <= 9:
-        return "".join(str(x) for x in p)
-    return ",".join(str(x) for x in p)
+        return "".join(map(str, p))
+    return ",".join(map(str, p))
 
 
 #: Either rendering: a run of ASCII digits, or two or more ASCII decimal

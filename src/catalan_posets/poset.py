@@ -14,6 +14,7 @@ arithmetic.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -23,12 +24,15 @@ from .partitions import SetPartition, enumerate_ncp, format_partition
 from .permutations import descent_mask, enumerate_av132, format_permutation
 
 
+_ONE = re.compile("1")
+
+
 def iter_bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of set bits, lowest first: one scan of the binary digits,
+    reversed so that a digit's offset is its bit index, in place of
+    full-width integer operations per set bit."""
+    for digit in _ONE.finditer(bin(mask)[:1:-1]):
+        yield digit.start()
 
 
 def superset_sums(fiber: list[int], width: int) -> list[int]:

@@ -125,6 +125,37 @@ def brute_has_crossing(blocks: Blocks) -> bool:
     return False
 
 
+def recursive_ncp(n: int) -> Iterator[Blocks]:
+    """Noncrossing partitions of [n] as canonical blocks, in growth-string
+    order: the package's former generator, one nested ``yield from`` frame
+    per element, which yields the blocks instead of a SetPartition."""
+    blocks: list[list[int]] = []
+    stack: list[int] = []
+
+    def extend(x: int) -> Iterator[Blocks]:
+        if x > n:
+            yield tuple(tuple(block) for block in blocks)
+            return
+        # open blocks carry increasing indices from stack bottom to top, so
+        # scanning the stack bottom-up tries block indices in increasing
+        # order, which is lexicographic order on the growth string
+        for depth in range(len(stack)):
+            target = stack[depth]
+            suspended = stack[depth + 1 :]
+            del stack[depth + 1 :]
+            blocks[target].append(x)
+            yield from extend(x + 1)
+            blocks[target].pop()
+            stack.extend(suspended)
+        blocks.append([x])
+        stack.append(len(blocks) - 1)
+        yield from extend(x + 1)
+        stack.pop()
+        blocks.pop()
+
+    yield from extend(1)
+
+
 def reference_poset_json(poset) -> str:
     """The poset's JSON export through the standard encoder: the whole
     payload as Python lists, then json.dumps with indent=2."""

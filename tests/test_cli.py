@@ -1,3 +1,6 @@
+import contextlib
+import io
+import os
 import re
 import subprocess
 import sys
@@ -93,6 +96,17 @@ def test_map_backward(capsys):
     code, out, _ = run_cli(capsys, "map", "finv", "64573812")
     assert code == 0
     assert out == "{1,4,6}/{2,3}/{5}/{7,8}\n"
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["text-only", "text-over-bytes"])
+def test_stdout_swapped_for_in_memory_stream(binary):
+    # with a binary layer the CLI writes through it; without one, as text
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8") if binary else io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["map", "finv", "64573812"]) == 0
+        assert main(["enumerate", "ncp", "--n", "2"]) == 0
+    out.seek(0)
+    assert out.read() == "{1,4,6}/{2,3}/{5}/{7,8}\n{1,2}\n{1}/{2}\n"
 
 
 def test_map_single_block(capsys):
@@ -258,13 +272,19 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def assert_closed_pipe_is_one_error_line(argv, first_line):
+def assert_closed_pipe_is_one_error_line(argv, head, stdin=None, env=None):
+    # read the first len(head) bytes of stdout, then close it
     with subprocess.Popen(
         [sys.executable, "-m", "catalan_posets", *argv],
+        stdin=None if stdin is None else subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=env,
     ) as process:
-        assert process.stdout.readline() == first_line
+        if stdin is not None:
+            process.stdin.write(stdin)
+            process.stdin.close()
+        assert process.stdout.read(len(head)) == head
         process.stdout.close()
         err = process.stderr.read().decode()
         assert process.wait(timeout=60) == 1
@@ -281,6 +301,19 @@ def test_closed_pipe_is_one_error_line():
 def test_streamed_poset_closed_pipe_is_one_error_line():
     assert_closed_pipe_is_one_error_line(
         ["poset", "P", "--n", "8", "--format", "json"], b"{\n"
+    )
+
+
+def test_map_closed_pipe_is_one_error_line():
+    # unbuffered, stdout's binary layer is the raw file: the 148,893-byte
+    # result outgrows the pipe, and once the reader is gone the write in
+    # progress returns a short count instead of raising
+    decreasing = ",".join(map(str, range(20000, 0, -1)))
+    assert_closed_pipe_is_one_error_line(
+        ["map", "finv", "-"],
+        b"{1}/{2}/{3",
+        stdin=(decreasing + "\n").encode(),
+        env=dict(os.environ, PYTHONUNBUFFERED="1"),
     )
 
 

@@ -1,9 +1,11 @@
 import re
+import tracemalloc
+from itertools import islice
 
 import pytest
 
 import support
-from catalan_posets.bijection import ncp_to_perm
+from catalan_posets.bijection import ncp_to_perm, perm_to_ncp
 from catalan_posets.counting import catalan
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.partitions import (
@@ -13,6 +15,7 @@ from catalan_posets.partitions import (
     format_partition,
     parse_partition,
 )
+from catalan_posets.permutations import enumerate_av132
 
 
 def test_from_blocks_canonicalizes():
@@ -154,3 +157,40 @@ def test_parse_partition_rejects_malformed():
     ]:
         with pytest.raises(ValueError, match=re.escape(f"malformed block text: {block!r}")):
             parse_partition(bad)
+
+
+def test_enumerate_ncp_matches_recursive_generator_in_order():
+    # the flat loop against the former recursive generator, element by element
+    for n in range(1, 12):
+        assert [q.blocks for q in enumerate_ncp(n)] == list(support.recursive_ncp(n))
+
+
+def assert_canonical_as_validated(q):
+    checked = SetPartition(q.n, q.blocks)
+    assert q == checked and hash(q) == hash(checked)
+    assert type(q.blocks) is tuple
+    assert all(type(block) is tuple for block in q.blocks)
+    assert all(type(x) is int for block in q.blocks for x in block)
+
+
+def test_trusted_producers_build_what_the_constructor_accepts():
+    # enumerate_ncp and perm_to_ncp skip validation: what they build must
+    # pass it and compare and hash like a validated partition
+    for n in range(1, 10):
+        for q in enumerate_ncp(n):
+            assert_canonical_as_validated(q)
+        for p in enumerate_av132(n):
+            assert_canonical_as_validated(perm_to_ncp(p))
+
+
+def test_enumerate_ncp_streams():
+    # the first partitions of the 208,012 at n = 12 come without building
+    # the family: a cache or a materialised list would show in the peak
+    tracemalloc.start()
+    try:
+        first = list(islice(enumerate_ncp(12), 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 10
+    assert peak < 1 << 20

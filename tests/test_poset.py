@@ -1,5 +1,6 @@
 import contextlib
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -14,6 +15,7 @@ from catalan_posets.permutations import descent_mask, enumerate_av132, format_pe
 from catalan_posets.poset import (
     build_descent_poset,
     build_refinement_poset,
+    iter_bits,
     poset_to_dot,
     poset_to_json,
 )
@@ -289,3 +291,16 @@ def test_coarsening_via_bijection_on_refinement_covers():
             d_coarse = descent_mask(ncp_to_perm(parts[upper]))
             assert d_coarse != d_fine
             assert d_coarse & ~d_fine == 0
+
+
+def test_iter_bits_matches_reference():
+    rng = random.Random(20261018)
+    masks = [0, 1, 1 << 4999, (1 << 5000) - 1]
+    masks += [1 << rng.randrange(5000) for _ in range(20)]
+    # sparse over 5,000 bits, dense, and in between
+    for density in (0.002, 0.05, 0.5, 0.95):
+        for _ in range(10):
+            width = rng.randrange(1, 5001)
+            masks.append(sum(1 << i for i in range(width) if rng.random() < density))
+    for mask in masks:
+        assert list(iter_bits(mask)) == list(support.iter_bits(mask))
