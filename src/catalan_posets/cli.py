@@ -19,7 +19,12 @@ from .bijection import ncp_to_perm, perm_to_ncp
 from .census import census_to_csv
 from .errors import CapacityError
 from .partitions import enumerate_ncp, format_partition, parse_partition
-from .permutations import enumerate_av132, format_permutation, parse_permutation
+from .permutations import (
+    _join_permutation,
+    enumerate_av132,
+    format_permutation,
+    parse_permutation,
+)
 from .poset import (
     build_descent_poset,
     build_refinement_poset,
@@ -131,7 +136,7 @@ def _write(chunks: Iterable[str], path: str | None) -> None:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.kind == "av132":
-        lines = map(format_permutation, enumerate_av132(args.n))
+        lines = map(_join_permutation, enumerate_av132(args.n))
     else:
         lines = map(format_partition, enumerate_ncp(args.n))
     if args.limit is not None:

@@ -40,7 +40,8 @@ class SetPartition:
         for block in self.blocks:
             if not block:
                 raise ValueError("empty block")
-            if block[0] <= previous_min:
+            # an equal minimum is a repeated element, named by the loop below
+            if block[0] < previous_min:
                 raise ValueError("blocks must be ordered by strictly increasing minima")
             previous_min = block[0]
             last = 0

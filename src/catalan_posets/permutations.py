@@ -78,7 +78,11 @@ def format_permutation(entries: Sequence[int]) -> str:
     >>> format_permutation((6, 4, 5, 7, 3, 8, 1, 2))
     '64573812'
     """
-    p = check_permutation(entries)
+    return _join_permutation(check_permutation(entries))
+
+
+def _join_permutation(p: tuple[int, ...]) -> str:
+    # format_permutation without validation, for tuples the package built
     if len(p) <= 9:
         return "".join(map(str, p))
     return ",".join(map(str, p))

@@ -8,7 +8,10 @@ inside a block of b.  Ranks are |descent set| and n - #blocks.
 
 Orders are stored as bitset rows over a fixed element ordering, which
 keeps reachability, cover and antichain computations in whole-row integer
-arithmetic.
+arithmetic.  The refinement order finds its covers with one integer key
+per partition: field x, n.bit_length() bits wide, holds the minimum of the
+block containing x, so merging two blocks is one subtraction and one
+dictionary lookup.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Iterator
 
 from .errors import check_capacity
 from .partitions import SetPartition, enumerate_ncp, format_partition
-from .permutations import descent_mask, enumerate_av132, format_permutation
+from .permutations import _join_permutation, descent_mask, enumerate_av132
 
 
 _ONE = re.compile("1")
@@ -88,7 +91,7 @@ class GradedPoset:
         element = self.elements[index]
         if isinstance(element, SetPartition):
             return format_partition(element)
-        return format_permutation(element)
+        return _join_permutation(element)
 
 
 @lru_cache(maxsize=None)
@@ -129,6 +132,13 @@ def build_refinement_poset(n: int) -> GradedPoset:
     """The refinement order on noncrossing partitions of [n], listed in
     growth-string order.
 
+    Each partition is keyed by the integer whose field x holds the minimum
+    of the block containing x.  With W_j the sum of block j's field units,
+    merging block j into an earlier block i gives the key
+    key - (min_j - min_i) * W_j, and the merge is a cover exactly when that
+    key belongs to another noncrossing partition.  The upward closure runs
+    coarse to fine over each element's list of cover targets.
+
     >>> build_refinement_poset(4).rank_sizes()
     (1, 6, 6, 1)
     >>> sum(1 for _ in build_refinement_poset(4).covers())
@@ -136,31 +146,43 @@ def build_refinement_poset(n: int) -> GradedPoset:
     """
     check_capacity("poset construction", n)
     elements = tuple(enumerate_ncp(n))
-    index = {q.blocks: i for i, q in enumerate(elements)}
     ranks = tuple(n - len(q.blocks) for q in elements)
+    width = n.bit_length()
+    unit = [0] + [1 << (x - 1) * width for x in range(1, n + 1)]
+    index: dict[int, int] = {}
+    shapes = []
+    for i, q in enumerate(elements):
+        key = 0
+        weights = []
+        for block in q.blocks:
+            weight = 0
+            for x in block:
+                weight += unit[x]
+            weights.append(weight)
+            key += block[0] * weight
+        index[key] = i
+        shapes.append((key, q.blocks, weights))
     # merging two blocks coarsens by exactly one rank, so the merges that
     # land on another noncrossing partition are exactly the covers
-    cover_rows = []
-    for q in elements:
-        blocks = q.blocks
-        row = 0
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                merged = tuple(sorted(blocks[i] + blocks[j]))
-                target = index.get(
-                    blocks[:i] + (merged,) + blocks[i + 1 : j] + blocks[j + 1 :]
-                )
-                if target is not None:
-                    row |= 1 << target
-        cover_rows.append(row)
+    get = index.get
+    targets = [
+        [
+            t
+            for j in range(1, len(blocks))
+            for i in range(j)
+            if (t := get(key - (blocks[j][0] - blocks[i][0]) * weights[j])) is not None
+        ]
+        for key, blocks, weights in shapes
+    ]
+    cover_rows = tuple(sum(1 << t for t in found) for found in targets)
     # upward closure, coarse to fine
     up = [0] * len(elements)
     for i in sorted(range(len(elements)), key=ranks.__getitem__, reverse=True):
         closure = 1 << i
-        for j in iter_bits(cover_rows[i]):
+        for j in targets[i]:
             closure |= up[j]
         up[i] = closure
-    return GradedPoset("Q", n, elements, ranks, tuple(up), tuple(cover_rows))
+    return GradedPoset("Q", n, elements, ranks, tuple(up), cover_rows)
 
 
 def iter_poset_json(poset: GradedPoset) -> Iterator[str]:

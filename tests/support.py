@@ -156,6 +156,39 @@ def recursive_ncp(n: int) -> Iterator[Blocks]:
     yield from extend(1)
 
 
+def reference_refinement_poset(
+    n: int,
+) -> tuple[tuple[Blocks, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(elements as blocks, ranks, leq_rows, cover_rows) of the refinement
+    order on NC(n) in growth-string order, by the package's former
+    builder: each pair of blocks is merged into a sorted tuple, the
+    partition is rebuilt with tuple slices, and a dictionary of block
+    tuples says whether it is noncrossing; the upward closure walks each
+    cover row's bits."""
+    elements = tuple(recursive_ncp(n))
+    index = {blocks: i for i, blocks in enumerate(elements)}
+    ranks = tuple(n - len(blocks) for blocks in elements)
+    cover_rows = []
+    for blocks in elements:
+        row = 0
+        for i in range(len(blocks)):
+            for j in range(i + 1, len(blocks)):
+                merged = tuple(sorted(blocks[i] + blocks[j]))
+                target = index.get(
+                    blocks[:i] + (merged,) + blocks[i + 1 : j] + blocks[j + 1 :]
+                )
+                if target is not None:
+                    row |= 1 << target
+        cover_rows.append(row)
+    up = [0] * len(elements)
+    for i in sorted(range(len(elements)), key=ranks.__getitem__, reverse=True):
+        closure = 1 << i
+        for j in iter_bits(cover_rows[i]):
+            closure |= up[j]
+        up[i] = closure
+    return elements, ranks, tuple(up), tuple(cover_rows)
+
+
 def reference_poset_json(poset) -> str:
     """The poset's JSON export through the standard encoder: the whole
     payload as Python lists, then json.dumps with indent=2."""

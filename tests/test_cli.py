@@ -122,6 +122,16 @@ def test_map_rejects_crossing(capsys):
     assert "not noncrossing" in err
 
 
+@pytest.mark.parametrize("text", ["{1,3}/{1,2}", "{1}/{1}", "{2}/{1,3}/{1}"])
+def test_map_names_an_element_in_two_blocks(capsys, text):
+    # blocks are sorted before validation, so a shared minimum used to be
+    # reported as blocks out of order
+    code, out, err = run_cli(capsys, "map", "f", text)
+    assert code == 1
+    assert out == ""
+    assert err == "error: element 1 appears in two blocks\n"
+
+
 def test_map_rejects_pattern(capsys):
     code, _, err = run_cli(capsys, "map", "finv", "132")
     assert code == 1

@@ -58,6 +58,9 @@ def test_constructor_rejects_noncanonical_or_invalid():
             "element 100001 outside 1..100000",
         ),
         (100_000, (tuple(range(1, 100_000)),), "blocks do not cover 1..100000"),
+        # a shared minimum is a repeated element, not an ordering fault
+        (2, ((1,), (1, 2)), "element 1 appears in two blocks"),
+        (3, ((2, 3), (1,)), "blocks must be ordered by strictly increasing minima"),
     ],
 )
 def test_constructor_error_texts(n, blocks, text):

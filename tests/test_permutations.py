@@ -3,7 +3,9 @@ from itertools import permutations
 import pytest
 
 import support
+from catalan_posets import permutations as permutations_module
 from catalan_posets.bijection import perm_to_ncp
+from catalan_posets.cli import main
 from catalan_posets.counting import catalan
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.permutations import (
@@ -13,6 +15,7 @@ from catalan_posets.permutations import (
     format_permutation,
     parse_permutation,
 )
+from catalan_posets.poset import build_descent_poset
 
 
 def test_check_permutation_accepts_valid():
@@ -97,6 +100,25 @@ def test_format_permutation_both_widths():
     assert format_permutation((6, 4, 5, 7, 3, 8, 1, 2)) == "64573812"
     eleven = tuple(range(11, 0, -1))
     assert format_permutation(eleven) == "11,10,9,8,7,6,5,4,3,2,1"
+
+
+def test_own_permutations_format_unchanged_without_revalidation(monkeypatch, capsys):
+    # `enumerate av132` and GradedPoset.label join the package's own tuples
+    # without check_permutation; the bytes are format_permutation's
+    expected = {
+        n: "".join(format_permutation(p) + "\n" for p in enumerate_av132(n))
+        for n in range(1, 11)
+    }
+    checked = []
+    monkeypatch.setattr(permutations_module, "check_permutation", checked.append)
+    for n in range(1, 11):
+        assert main(["enumerate", "av132", "--n", str(n)]) == 0
+        assert capsys.readouterr().out == expected[n]
+    for n in range(1, 10):
+        poset = build_descent_poset(n)
+        labels = "".join(poset.label(i) + "\n" for i in range(poset.size))
+        assert labels == expected[n]
+    assert checked == []
 
 
 def test_parse_permutation_round_trips():

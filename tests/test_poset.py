@@ -155,6 +155,17 @@ def test_rank_sizes_are_narayana():
         assert q.rank_sizes() == expected
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_refinement_poset_matches_reference_builder(n):
+    # integer merge keys against the former tuple-merge builder
+    elements, ranks, leq_rows, cover_rows = support.reference_refinement_poset(n)
+    q = build_refinement_poset(n)
+    assert tuple(x.blocks for x in q.elements) == elements
+    assert q.ranks == ranks
+    assert q.leq_rows == leq_rows
+    assert q.cover_rows == cover_rows
+
+
 def test_size_four_descent_poset_shape():
     p = build_descent_poset(4)
     assert p.size == 14

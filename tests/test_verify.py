@@ -1,7 +1,9 @@
 import pytest
 
+from catalan_posets import verify
 from catalan_posets.counting import catalan
 from catalan_posets.errors import CAPACITY, CapacityError
+from catalan_posets.poset import build_descent_poset, build_refinement_poset
 from catalan_posets.verify import (
     CHECKS,
     check_census_symmetry,
@@ -16,6 +18,32 @@ def test_rank_statistics_report():
     assert report.passed
     assert report.name == "ranks"
     assert report.examined == 12  # one rank vector per family
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_rank_counts_are_the_posets_rank_sizes(n):
+    assert verify._descent_rank_sizes(n) == build_descent_poset(n).rank_sizes()
+    assert verify._refinement_rank_sizes(n) == build_refinement_poset(n).rank_sizes()
+
+
+@pytest.mark.parametrize(
+    "counter, family",
+    [("_descent_rank_sizes", "descent"), ("_refinement_rank_sizes", "refinement")],
+)
+def test_rank_statistics_reports_a_wrong_count(monkeypatch, counter, family):
+    # the check is not vacuous: one rank count off by one is a violation
+    counted = getattr(verify, counter)
+
+    def off_by_one(n):
+        sizes = list(counted(n))
+        sizes[2] += 1
+        return tuple(sizes)
+
+    monkeypatch.setattr(verify, counter, off_by_one)
+    report = check_rank_statistics(9)
+    assert not report.passed
+    assert any(f"{family} poset rank sizes" in v for v in report.violations)
+    assert report.examined == 18
 
 
 def test_census_symmetry_report():
