@@ -5,6 +5,11 @@ image permutation, so the bijection turns refinement upside down.  The
 descent order is also its own upside-down image: pairing each descent
 class with its reverse-complement class, and members in lexicographic
 order within classes, reverses every comparison.
+
+Both checks decide all ordered pairs through one subset-sum table over the
+descent masks: elements are filed by the complement of a descent set, so
+a superset sum collects, for each mask, the elements whose descent set
+lies inside it, and each up-row of a poset is compared with one entry.
 """
 
 from __future__ import annotations
@@ -95,9 +100,11 @@ def check_self_duality(n: int) -> VerificationReport:
     test order reversal over all ordered element pairs.
 
     i <= j must hold exactly when mapping[j] <= mapping[i], so up-row i
-    must equal the set of j whose image lies below mapping[i]; those sets
-    are the columns of the order matrix with its rows taken through the
-    mapping, built in one pass over the comparable pairs.
+    must equal the set of j whose image lies below mapping[i].  In the
+    descent poset mapping[j] <= x holds exactly when the descent set of
+    mapping[j] lies properly inside that of x, or mapping[j] is x; the
+    first set is one entry of a subset-sum table over the image descent
+    sets, so no comparable pair is listed.
     """
     start = time.perf_counter()
     poset = build_descent_poset(n)
@@ -110,15 +117,21 @@ def check_self_duality(n: int) -> VerificationReport:
         )
     if any(mapping[j] != i for i, j in enumerate(mapping)):
         violations.append("pairing is not an involution")
-    rows = poset.leq_rows
-    # image_below[x]: every j with mapping[j] <= x
-    image_below = [0] * poset.size
+    full = (1 << (n - 1)) - 1
+    masks = [descent_mask(p) for p in poset.elements]
+    fiber = [0] * (full + 1)
+    preimage = [0] * poset.size
     for j, image in enumerate(mapping):
         bit = 1 << j
-        for x in iter_bits(rows[image]):
-            image_below[x] |= bit
+        fiber[full ^ masks[image]] |= bit
+        preimage[image] |= bit
+    inside = superset_sums(fiber, n - 1)
+    rows = poset.leq_rows
     for i, image in enumerate(mapping):
-        for j in iter_bits(rows[i] ^ image_below[image]):
+        outside = full ^ masks[image]
+        # every j with mapping[j] <= image
+        image_below = (inside[outside] ^ fiber[outside]) | preimage[image]
+        for j in iter_bits(rows[i] ^ image_below):
             note_violation(
                 violations,
                 f"({poset.label(i)}, {poset.label(j)}) breaks order reversal",

@@ -26,7 +26,7 @@ CAPACITY = {
     "check coarsening": 8,
     "check ranks": 9,
     "check lemma": 12,
-    "check selfdual": 7,
+    "check selfdual": 9,
     "check sperner": 8,
     "lemma recursion agreement": 9,
     "sperner-dk": 6,

@@ -147,11 +147,13 @@ def test_criterion_07_census_symmetry():
 
 def test_criterion_08_self_duality():
     problems = []
-    for n in range(1, 8):
+    for n in range(1, 10):
         report = check_self_duality(n)
         if not report.passed:
             problems.extend(report.violations)
-    conclude(8, "self-duality verified to 7", problems)
+        if report.examined != catalan(n) ** 2:
+            problems.append(f"self-duality at {n} did not examine every ordered pair")
+    conclude(8, "self-duality verified to 9", problems)
 
 
 def test_criterion_09_sperner_suite():

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from catalan_posets.cli import main
+from catalan_posets.errors import CAPACITY
 
 CENSUS3 = (
     "descent_set_text,size,count\n"
@@ -206,15 +207,16 @@ def test_verify_all_clamps_above_caps(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "12")
     assert code == 0
     assert "lemma n=12:" in out
-    assert "selfdual n=7:" in out
-    assert "coarsening n=8:" in out
+    assert f"selfdual n={CAPACITY['check selfdual']}:" in out
+    assert f"coarsening n={CAPACITY['check coarsening']}:" in out
 
 
 def test_verify_explicit_over_cap(capsys):
-    code, out, err = run_cli(capsys, "verify", "--checks", "selfdual", "--n", "9")
+    cap = CAPACITY["check selfdual"]
+    code, out, err = run_cli(capsys, "verify", "--checks", "selfdual", "--n", str(cap + 1))
     assert code == 1
     assert out == ""
-    assert "supports n up to 7" in err
+    assert f"supports n up to {cap}" in err
 
 
 def test_verify_unknown_check_is_usage_error(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import support
@@ -9,6 +11,7 @@ from catalan_posets.duality import (
     check_self_duality,
     construct_antiautomorphism,
 )
+from catalan_posets.errors import CAPACITY
 from catalan_posets.permutations import descent_mask
 from catalan_posets.poset import build_descent_poset, build_refinement_poset
 from catalan_posets.reports import MAX_VIOLATION_DETAILS, note_violation
@@ -109,7 +112,7 @@ def test_check_coarsening_examined_counts_strict_pairs():
 
 
 def test_check_self_duality_passes():
-    for n in range(1, 8):
+    for n in range(1, CAPACITY["check selfdual"] + 1):
         report = check_self_duality(n)
         assert report.passed
         assert report.name == "selfdual"
@@ -178,7 +181,7 @@ def broken_pairings(poset):
     yield "swapped", tuple(swapped)
 
 
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [4, 6, 7])
 def test_self_duality_reports_broken_pairings(monkeypatch, n):
     poset = build_descent_poset(n)
     for name, mapping in broken_pairings(poset):
@@ -200,6 +203,30 @@ def test_self_duality_reports_broken_pairings(monkeypatch, n):
         monkeypatch.setattr(duality, "construct_antiautomorphism", lambda _p: mapping)
         expected = pairwise_self_duality_violations(poset, mapping)
         assert check_self_duality(n).violations == expected
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_self_duality_reports_a_flipped_order_bit(monkeypatch, n):
+    # the image side comes from descent masks, so a wrong order row must
+    # still be caught through the up-rows
+    true = build_descent_poset(n)
+    mapping = construct_antiautomorphism(true)
+    i = next(i for i in range(true.size) if true.ranks[i] == 1)
+    j = next(
+        j
+        for j in range(true.size)
+        if true.ranks[j] == n - 2 and not true.leq(i, j) and mapping[j] != i
+    )
+    rows = list(true.leq_rows)
+    rows[i] ^= 1 << j
+    broken = dataclasses.replace(true, leq_rows=tuple(rows))
+    monkeypatch.setattr(duality, "build_descent_poset", lambda _n: broken)
+    report = check_self_duality(n)
+    assert report.passed is False
+    assert report.examined == true.size**2
+    flipped = f"({true.label(i)}, {true.label(j)}) breaks order reversal"
+    assert report.violations == (flipped,)
+    assert flipped in pairwise_self_duality_violations(broken, mapping)
 
 
 def pairwise_coarsening_violations(n):
