@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .descent_sets import DescentSet
-from .partitions import SetPartition, block_minima
+from .partitions import SetPartition
 from .permutations import check_permutation
 
 
@@ -91,8 +91,13 @@ def partition_descent_set(partition: SetPartition) -> DescentSet:
     >>> str(partition_descent_set(parse_partition("{1,4,6}/{2,3}/{5}/{7,8}")))
     '{1,4,6}'
     """
+    return DescentSet(partition.n, _image_descent_mask(partition))
+
+
+def _image_descent_mask(partition: SetPartition) -> int:
+    # partition_descent_set's mask: in canonical form the first block
+    # holds 1, and each later block's minimum m sets bit m - 2
     mask = 0
-    for m in block_minima(partition):
-        if m > 1:
-            mask |= 1 << (m - 2)
-    return DescentSet(partition.n, mask)
+    for block in partition.blocks[1:]:
+        mask |= 1 << (block[0] - 2)
+    return mask

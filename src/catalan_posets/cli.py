@@ -18,13 +18,8 @@ from typing import Iterable, Sequence
 from .bijection import ncp_to_perm, perm_to_ncp
 from .census import census_to_csv
 from .errors import CapacityError
-from .partitions import enumerate_ncp, format_partition, parse_partition
-from .permutations import (
-    _join_permutation,
-    enumerate_av132,
-    format_permutation,
-    parse_permutation,
-)
+from .partitions import _ncp_text, format_partition, parse_partition
+from .permutations import _av132_text, format_permutation, parse_permutation
 from .poset import (
     build_descent_poset,
     build_refinement_poset,
@@ -135,10 +130,7 @@ def _write(chunks: Iterable[str], path: str | None) -> None:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.kind == "av132":
-        lines = map(_join_permutation, enumerate_av132(args.n))
-    else:
-        lines = map(format_partition, enumerate_ncp(args.n))
+    lines = (_av132_text if args.kind == "av132" else _ncp_text)(args.n)
     if args.limit is not None:
         lines = islice(lines, args.limit)
     # each stdout write is encoded and written on its own, so write

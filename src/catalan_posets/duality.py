@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import time
 
-from .bijection import partition_descent_set
+from .bijection import _image_descent_mask
 from .descent_sets import reverse_complement_mask
-from .permutations import descent_mask
 from .poset import (
     GradedPoset,
+    _descent_masks,
     build_descent_poset,
     build_refinement_poset,
     iter_bits,
@@ -41,7 +41,7 @@ def check_coarsening(n: int) -> VerificationReport:
     start = time.perf_counter()
     q_poset = build_refinement_poset(n)
     full = (1 << (n - 1)) - 1
-    fmask = [partition_descent_set(q).mask for q in q_poset.elements]
+    fmask = [_image_descent_mask(q) for q in q_poset.elements]
     fiber = [0] * (full + 1)
     for j, mask in enumerate(fmask):
         fiber[full ^ mask] |= 1 << j
@@ -72,6 +72,8 @@ def construct_antiautomorphism(poset: GradedPoset) -> tuple[int, ...]:
     class of the reverse complement of S, members paired by lexicographic
     rank.  A class size mismatch would falsify the counting symmetry the
     pairing rests on, so it raises rather than returning a partial map.
+    The descent poset on [n] lists enumerate_av132(n) in order, so the
+    descent masks come from the table its builder filled.
 
     >>> construct_antiautomorphism(build_descent_poset(4))[0]   # 1234 pairs with 4321
     13
@@ -79,8 +81,8 @@ def construct_antiautomorphism(poset: GradedPoset) -> tuple[int, ...]:
     if poset.family != "P":
         raise ValueError("the pairing is defined on the descent poset")
     classes: dict[int, list[int]] = {}
-    for i, p in enumerate(poset.elements):
-        classes.setdefault(descent_mask(p), []).append(i)
+    for i, mask in enumerate(_descent_masks(poset.n)):
+        classes.setdefault(mask, []).append(i)
     mapping = [0] * poset.size
     for mask, members in classes.items():
         partner = reverse_complement_mask(poset.n, mask)
@@ -118,7 +120,7 @@ def check_self_duality(n: int) -> VerificationReport:
     if any(mapping[j] != i for i, j in enumerate(mapping)):
         violations.append("pairing is not an involution")
     full = (1 << (n - 1)) - 1
-    masks = [descent_mask(p) for p in poset.elements]
+    masks = _descent_masks(n)
     fiber = [0] * (full + 1)
     preimage = [0] * poset.size
     for j, image in enumerate(mapping):

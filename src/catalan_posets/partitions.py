@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import check_capacity
+
+#: A block as the enumeration builds it: a tuple of elements, or its text.
+_Block = TypeVar("_Block", tuple[int, ...], str)
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ class SetPartition:
         """Wrap blocks already in canonical form, skipping validation.
 
         Only for producers that build canonical blocks by construction:
-        _stream_ncp and bijection.perm_to_ncp.
+        enumerate_ncp and bijection.perm_to_ncp.
         """
         self = object.__new__(cls)
         fields = self.__dict__
@@ -105,54 +109,76 @@ def enumerate_ncp(n: int) -> Iterator[SetPartition]:
     ['{1,2,3}', '{1,2}/{3}', '{1,3}/{2}', '{1}/{2,3}', '{1}/{2}/{3}']
     """
     check_capacity("enumeration", n)
-    return _stream_ncp(n)
+    atoms = [(x,) for x in range(n + 1)]
+    return map(partial(SetPartition._trusted, n), _stream_ncp(n, atoms, atoms))
 
 
-def _stream_ncp(n: int) -> Iterator[SetPartition]:
-    # One flat loop over elements 1..n-1.  `stack` holds the indices of the
-    # open blocks, innermost on top; joining stack[depth] closes the blocks
-    # above it, which go to the undo log with the choice made.  Open blocks
-    # carry increasing indices from stack bottom to top, so trying depths
-    # bottom-up tries block indices in increasing order, which is
-    # lexicographic order on the growth string.  Element n closes nothing,
-    # so each of its choices is a leaf read straight off the blocks.
-    trusted = SetPartition._trusted
-    blocks: list[tuple[int, ...]] = []
+def _ncp_text(n: int) -> Iterator[str]:
+    """The format_partition text of each enumerate_ncp partition, in the
+    same order, built as the blocks grow.
+
+    The size bound is checked before the iterator is handed out.
+
+    >>> list(_ncp_text(3))
+    ['{1,2,3}', '{1,2}/{3}', '{1,3}/{2}', '{1}/{2,3}', '{1}/{2}/{3}']
+    """
+    check_capacity("enumeration", n)
+    digits = [str(x) for x in range(n + 1)]
+    leaves = _stream_ncp(n, digits, ["," + d for d in digits])
+    return ("{" + "}/{".join(blocks) + "}" for blocks in leaves)
+
+
+def _stream_ncp(
+    n: int, opens: Sequence[_Block], joins: Sequence[_Block]
+) -> Iterator[tuple[_Block, ...]]:
+    # One flat loop over elements 1..n-1, yielding the blocks of each
+    # partition.  A block is built from atoms: opens[x] starts a block at
+    # x and joins[x] appends x to one, so the blocks come out as tuples or
+    # as their text.  `stack` holds the indices of the open blocks,
+    # innermost on top; joining stack[depth] closes the blocks above it,
+    # which go to the undo log with the choice made and the joined
+    # block's previous value.  Open blocks carry increasing indices from
+    # stack bottom to top, so trying depths bottom-up tries block indices
+    # in increasing order, which is lexicographic order on the growth
+    # string.  Element n closes nothing, so each of its choices is a leaf
+    # read straight off the blocks.
+    blocks: list[_Block] = []
     stack: list[int] = []
-    log: list[tuple[int, list[int] | None]] = []
+    log: list[tuple[int, list[int] | None, _Block | None]] = []
     x, depth = 1, 0
     while True:
         while x < n:
             if depth < len(stack):
                 target = stack[depth]
-                log.append((depth, stack[depth + 1 :]))
+                block = blocks[target]
+                log.append((depth, stack[depth + 1 :], block))
                 del stack[depth + 1 :]
-                blocks[target] += (x,)
+                blocks[target] = block + joins[x]
             else:
-                log.append((depth, None))
+                log.append((depth, None, None))
                 stack.append(len(blocks))
-                blocks.append((x,))
+                blocks.append(opens[x])
             x, depth = x + 1, 0
+        last = joins[n]
         for target in stack:
             block = blocks[target]
-            blocks[target] = block + (n,)
-            yield trusted(n, tuple(blocks))
+            blocks[target] = block + last
+            yield tuple(blocks)
             blocks[target] = block
-        blocks.append((n,))
-        yield trusted(n, tuple(blocks))
+        blocks.append(opens[n])
+        yield tuple(blocks)
         blocks.pop()
         # back up to the deepest element with a choice left
         while True:
             if not log:
                 return
             x -= 1
-            depth, closed = log.pop()
+            depth, closed, previous = log.pop()
             if closed is None:
                 stack.pop()
                 blocks.pop()
             else:
-                target = stack[-1]
-                blocks[target] = blocks[target][:-1]
+                blocks[stack[-1]] = previous
                 stack += closed
             depth += 1
             if depth <= len(stack):

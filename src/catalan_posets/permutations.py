@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import check_capacity
+
+#: A permutation or prefix as the enumeration builds it: a tuple, or its text.
+_Entry = TypeVar("_Entry", tuple[int, ...], str)
 
 
 def check_permutation(entries: Sequence[int]) -> tuple[int, ...]:
@@ -45,19 +48,49 @@ def descent_mask(entries: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _av132_sorted(n: int) -> tuple[tuple[int, ...], ...]:
-    # Every 132-avoider splits at the position of n: entries to the left of n
-    # must all exceed entries to its right, so the left part uses the top
-    # values and both parts are independently 132-avoiding.
-    if n == 0:
-        return ((),)
-    out = []
-    for k in range(1, n + 1):
-        for left in _av132_sorted(k - 1):
-            prefix = tuple(x + n - k for x in left) + (n,)
-            for right in _av132_sorted(n - k):
-                out.append(prefix + right)
-    out.sort()
-    return tuple(out)
+    # cached: enumerate_av132 hands these out, and each serves as the
+    # shorter list of every larger n
+    return tuple(_av132_lex(n, [(v,) for v in range(n + 1)], (), _av132_sorted))
+
+
+def _av132_lex(
+    n: int,
+    atoms: Sequence[_Entry],
+    sep: _Entry,
+    shorter: Callable[[int], Iterable[_Entry]],
+) -> Iterator[_Entry]:
+    # Depth first, in lexicographic order, over the prefixes that some
+    # 132-avoider of [n] extends: after a prefix with minimum m the next
+    # entry is an unused value v < m, or the least unused value u > m,
+    # since any unused value between m and a larger next entry would
+    # complete a 132 later.  `free` holds the unused values above m as
+    # bits.  Two kinds of prefix end the descent.  With m = 1 only the
+    # second choice is left, so the unused values follow in increasing
+    # order.  With `free` empty the unused values are 1..m-1, all below
+    # the prefix, so each 132-avoider of [m-1] completes it: the prefix is
+    # joined by sep to each member of shorter(m - 1), in its own order.
+    # The first entry v is atoms[v]; each later one adds sep + atoms[v].
+    steps = [sep + atom for atom in atoms]
+    rising: dict[int, _Entry] = {}
+    # a node is (prefix, m, free); siblings go on in reverse order
+    nodes = [(atoms[v], v, (2 << n) - (2 << v)) for v in range(n, 0, -1)]
+    while nodes:
+        prefix, m, free = nodes.pop()
+        if m == 1:
+            if free not in rising:
+                tail = sep[:0]
+                for v in range(2, n + 1):
+                    if free >> v & 1:
+                        tail += steps[v]
+                rising[free] = tail
+            yield prefix + rising[free]
+        elif not free:
+            yield from map((prefix + sep).__add__, shorter(m - 1))
+        else:
+            low = free & -free
+            nodes.append((prefix + steps[low.bit_length() - 1], m, free ^ low))
+            for v in range(m - 1, 0, -1):
+                nodes.append((prefix + steps[v], v, free | ((1 << m) - (2 << v))))
 
 
 def enumerate_av132(n: int) -> Iterator[tuple[int, ...]]:
@@ -70,6 +103,27 @@ def enumerate_av132(n: int) -> Iterator[tuple[int, ...]]:
     """
     check_capacity("enumeration", n)
     return iter(_av132_sorted(n))
+
+
+def _av132_text(n: int) -> Iterator[str]:
+    """The format_permutation text of each enumerate_av132 permutation, in
+    the same order, built as the prefixes grow; the shorter lists live
+    only as long as the iterator.
+
+    The size bound is checked before the iterator is handed out.
+
+    >>> list(_av132_text(3))
+    ['123', '213', '231', '312', '321']
+    """
+    check_capacity("enumeration", n)
+    atoms = [str(v) for v in range(n + 1)]
+    sep = "" if n <= 9 else ","
+
+    @lru_cache(maxsize=None)
+    def shorter(k: int) -> list[str]:
+        return list(_av132_lex(k, atoms, sep, shorter))
+
+    return _av132_lex(n, atoms, sep, shorter)
 
 
 def format_permutation(entries: Sequence[int]) -> str:

@@ -95,6 +95,13 @@ class GradedPoset:
 
 
 @lru_cache(maxsize=None)
+def _descent_masks(n: int) -> tuple[int, ...]:
+    """Descent mask of each element of the descent poset on [n], in its
+    element order; shared by the builder and the self-duality check."""
+    return tuple(map(descent_mask, enumerate_av132(n)))
+
+
+@lru_cache(maxsize=None)
 def build_descent_poset(n: int) -> GradedPoset:
     """The descent order on 132-avoiding permutations of [n], listed
     lexicographically.
@@ -106,7 +113,7 @@ def build_descent_poset(n: int) -> GradedPoset:
     """
     check_capacity("poset construction", n)
     elements = tuple(enumerate_av132(n))
-    masks = [descent_mask(p) for p in elements]
+    masks = _descent_masks(n)
     universe = 1 << (n - 1)
     fiber = [0] * universe
     for i, m in enumerate(masks):

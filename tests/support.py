@@ -156,6 +156,26 @@ def recursive_ncp(n: int) -> Iterator[Blocks]:
     yield from extend(1)
 
 
+@lru_cache(maxsize=None)
+def recursive_av132(n: int) -> tuple[tuple[int, ...], ...]:
+    """132-avoiding permutations of [n] in lexicographic order, by the
+    package's former builder: split at the position of n, recurse on both
+    sides, and sort."""
+    # Every 132-avoider splits at the position of n: entries to the left of n
+    # must all exceed entries to its right, so the left part uses the top
+    # values and both parts are independently 132-avoiding.
+    if n == 0:
+        return ((),)
+    out = []
+    for k in range(1, n + 1):
+        for left in recursive_av132(k - 1):
+            prefix = tuple(x + n - k for x in left) + (n,)
+            for right in recursive_av132(n - k):
+                out.append(prefix + right)
+    out.sort()
+    return tuple(out)
+
+
 def reference_refinement_poset(
     n: int,
 ) -> tuple[tuple[Blocks, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:

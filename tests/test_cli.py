@@ -61,13 +61,14 @@ def test_enumerate_to_file(tmp_path, capsys):
 
 def test_enumerate_over_capacity_creates_no_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
-    code, out, err = run_cli(
-        capsys, "enumerate", "av132", "--n", "13", "--output", str(target)
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-    assert not target.exists()
+    for kind in ("av132", "ncp"):
+        code, out, err = run_cli(
+            capsys, "enumerate", kind, "--n", "13", "--output", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not target.exists()
 
 
 def test_poset_over_capacity_creates_no_file(tmp_path, capsys):

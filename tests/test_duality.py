@@ -5,7 +5,6 @@ import pytest
 import support
 from catalan_posets import duality, reports
 from catalan_posets.counting import catalan
-from catalan_posets.descent_sets import DescentSet
 from catalan_posets.duality import (
     check_coarsening,
     check_self_duality,
@@ -231,7 +230,7 @@ def test_self_duality_reports_a_flipped_order_bit(monkeypatch, n):
 
 def pairwise_coarsening_violations(n):
     q_poset = build_refinement_poset(n)
-    fmask = [duality.partition_descent_set(q).mask for q in q_poset.elements]
+    fmask = [duality._image_descent_mask(q) for q in q_poset.elements]
     violations = []
     for a, b in support.strict_pairs(q_poset):
         if fmask[b] == fmask[a] or fmask[b] & fmask[a] != fmask[b]:
@@ -252,12 +251,12 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("name", CORRUPTIONS)
 def test_coarsening_reports_corrupted_descent_sets(monkeypatch, name):
-    true_descent_set = duality.partition_descent_set
+    true_mask = duality._image_descent_mask
 
     def fake(q):
-        return DescentSet(q.n, CORRUPTIONS[name](q.n, true_descent_set(q).mask))
+        return CORRUPTIONS[name](q.n, true_mask(q))
 
-    monkeypatch.setattr(duality, "partition_descent_set", fake)
+    monkeypatch.setattr(duality, "_image_descent_mask", fake)
     for n in (3, 5, 6):
         report = check_coarsening(n)
         assert report.passed is False, name

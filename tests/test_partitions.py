@@ -10,6 +10,7 @@ from catalan_posets.counting import catalan
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.partitions import (
     SetPartition,
+    _ncp_text,
     block_minima,
     enumerate_ncp,
     format_partition,
@@ -168,6 +169,12 @@ def test_enumerate_ncp_matches_recursive_generator_in_order():
         assert [q.blocks for q in enumerate_ncp(n)] == list(support.recursive_ncp(n))
 
 
+def test_ncp_text_is_the_formatted_enumeration():
+    # sizes 10 and 11 have two-digit elements
+    for n in range(1, 12):
+        assert list(_ncp_text(n)) == list(map(format_partition, enumerate_ncp(n)))
+
+
 def assert_canonical_as_validated(q):
     checked = SetPartition(q.n, q.blocks)
     assert q == checked and hash(q) == hash(checked)
@@ -195,5 +202,18 @@ def test_enumerate_ncp_streams():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(first) == 10
+    assert peak < 1 << 20
+
+
+def test_ncp_text_streams():
+    # as enumerate_ncp: the first lines at n = 12 come without the family
+    tracemalloc.start()
+    try:
+        first = list(islice(_ncp_text(12), 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first[0] == "{1,2,3,4,5,6,7,8,9,10,11,12}"
     assert len(first) == 10
     assert peak < 1 << 20

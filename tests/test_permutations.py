@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -9,6 +10,8 @@ from catalan_posets.cli import main
 from catalan_posets.counting import catalan
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.permutations import (
+    _av132_sorted,
+    _av132_text,
     check_permutation,
     descent_mask,
     enumerate_av132,
@@ -65,6 +68,33 @@ def test_enumerate_av132_is_sorted_and_catalan_sized():
         items = list(enumerate_av132(n))
         assert items == sorted(items)
         assert len(items) == catalan(n)
+
+
+def test_enumerate_av132_matches_recursive_builder_in_order():
+    # the prefix search against the former split-and-sort builder
+    for n in range(1, 12):
+        assert list(enumerate_av132(n)) == list(support.recursive_av132(n))
+
+
+def test_av132_text_is_the_formatted_enumeration():
+    # sizes 10 and 11 take the comma form
+    for n in range(1, 12):
+        assert list(_av132_text(n)) == list(map(format_permutation, enumerate_av132(n)))
+
+
+def test_enumerate_av132_cli_streams(capsys):
+    # the first lines at n = 12 need neither the sorted family nor its cache
+    _av132_sorted.cache_clear()
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "av132", "--n", "12", "--limit", "10"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "1,2,3,4,5,6,7,8,9,10,11,12"
+    assert _av132_sorted.cache_info().currsize == 0
+    assert peak < 10 << 20
 
 
 def test_enumerate_av132_bounds():
