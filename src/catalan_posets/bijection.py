@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .descent_sets import DescentSet
 from .partitions import SetPartition
 from .permutations import check_permutation
 
@@ -83,20 +82,16 @@ def perm_to_ncp(perm: Sequence[int]) -> SetPartition:
     return SetPartition._trusted(len(entries), tuple(map(tuple, blocks)))
 
 
-def partition_descent_set(partition: SetPartition) -> DescentSet:
-    """Descent set of the image permutation, read off the partition directly:
-    the descents are m - 1 for each block minimum m other than 1.
+def image_descent_mask(partition: SetPartition) -> int:
+    """Descent mask of the image permutation, read off the partition
+    directly: the descents are m - 1 for each block minimum m other than 1.
 
     >>> from .partitions import parse_partition
-    >>> str(partition_descent_set(parse_partition("{1,4,6}/{2,3}/{5}/{7,8}")))
-    '{1,4,6}'
+    >>> bin(image_descent_mask(parse_partition("{1,4,6}/{2,3}/{5}/{7,8}")))
+    '0b101001'
     """
-    return DescentSet(partition.n, _image_descent_mask(partition))
-
-
-def _image_descent_mask(partition: SetPartition) -> int:
-    # partition_descent_set's mask: in canonical form the first block
-    # holds 1, and each later block's minimum m sets bit m - 2
+    # in canonical form the first block holds 1, and each later block's
+    # minimum m sets bit m - 2
     mask = 0
     for block in partition.blocks[1:]:
         mask |= 1 << (block[0] - 2)

@@ -21,8 +21,8 @@ import io
 from functools import lru_cache
 from itertools import accumulate
 
-from .descent_sets import DescentSet
 from .errors import check_capacity
+from .permutations import format_descent_set
 
 
 @lru_cache(maxsize=None)
@@ -87,6 +87,5 @@ def census_to_csv(n: int) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["descent_set_text", "size", "count"])
     for mask, count in enumerate(counts):
-        descents = DescentSet(n, mask)
-        writer.writerow([str(descents), len(descents), count])
+        writer.writerow([format_descent_set(mask), mask.bit_count(), count])
     return buffer.getvalue()

@@ -132,7 +132,8 @@ def _write(chunks: Iterable[str], path: str | None) -> None:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     lines = (_av132_text if args.kind == "av132" else _ncp_text)(args.n)
     if args.limit is not None:
-        lines = islice(lines, args.limit)
+        # islice takes at most sys.maxsize, which no family comes near
+        lines = islice(lines, min(args.limit, sys.maxsize))
     # each stdout write is encoded and written on its own, so write
     # blocks of a thousand lines rather than single lines
     blocks = iter(lambda: list(islice(lines, 1000)), [])

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import time
 
-from .bijection import _image_descent_mask
-from .descent_sets import reverse_complement_mask
+from .bijection import image_descent_mask
+from .permutations import reverse_complement_mask
 from .poset import (
     GradedPoset,
     _descent_masks,
@@ -41,7 +41,7 @@ def check_coarsening(n: int) -> VerificationReport:
     start = time.perf_counter()
     q_poset = build_refinement_poset(n)
     full = (1 << (n - 1)) - 1
-    fmask = [_image_descent_mask(q) for q in q_poset.elements]
+    fmask = [image_descent_mask(q) for q in q_poset.elements]
     fiber = [0] * (full + 1)
     for j, mask in enumerate(fmask):
         fiber[full ^ mask] |= 1 << j

@@ -86,15 +86,6 @@ class SetPartition:
         return format_partition(self)
 
 
-def block_minima(partition: SetPartition) -> tuple[int, ...]:
-    """Smallest element of each block, in increasing order.
-
-    >>> block_minima(SetPartition.from_blocks([(1, 4, 6), (2, 3), (5,), (7, 8)]))
-    (1, 2, 5, 7)
-    """
-    return tuple(block[0] for block in partition.blocks)
-
-
 def enumerate_ncp(n: int) -> Iterator[SetPartition]:
     """All noncrossing partitions of [n], ordered by their restricted growth
     strings (the block index of 1, 2, ..., n in turn), lexicographically.

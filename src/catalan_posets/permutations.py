@@ -1,8 +1,9 @@
-"""132-avoiding permutations: validation, enumeration, descents.
+"""132-avoiding permutations: validation, enumeration, descent masks.
 
 Permutations are tuples of the values 1..n in one-line notation; positions
 are 1-based throughout the public API.  A permutation contains the pattern
-132 when there are positions i < j < k with p[i] < p[k] < p[j].
+132 when there are positions i < j < k with p[i] < p[k] < p[j].  Descent
+sets are int masks, with bit i-1 set when position i is a descent.
 """
 
 from __future__ import annotations
@@ -44,6 +45,31 @@ def descent_mask(entries: Sequence[int]) -> int:
         if entries[i] > entries[i + 1]:
             mask |= 1 << i
     return mask
+
+
+def reverse_complement_mask(n: int, mask: int) -> int:
+    """Bit-level reverse complement: position i is in the result iff n-i is absent.
+
+    >>> bin(reverse_complement_mask(4, 0b001))
+    '0b11'
+    """
+    out = 0
+    for i in range(1, n):
+        if not (mask >> (n - i - 1)) & 1:
+            out |= 1 << (i - 1)
+    return out
+
+
+def format_descent_set(mask: int) -> str:
+    """The positions of a descent mask in braces, comma separated.
+
+    >>> format_descent_set(0b101001)
+    '{1,4,6}'
+    >>> format_descent_set(0)
+    '{}'
+    """
+    positions = (str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
+    return "{" + ",".join(positions) + "}"
 
 
 @lru_cache(maxsize=None)

@@ -15,11 +15,15 @@ from .antichains import check_k_sperner, max_antichain, max_antichain_elements
 from .bijection import perm_to_ncp
 from .census import build_census, count_by_descent_set
 from .counting import catalan, narayana
-from .descent_sets import DescentSet, reverse_complement_mask
 from .duality import check_coarsening, check_self_duality
 from .errors import CAPACITY, check_capacity
 from .partitions import enumerate_ncp
-from .permutations import descent_mask, enumerate_av132
+from .permutations import (
+    descent_mask,
+    enumerate_av132,
+    format_descent_set,
+    reverse_complement_mask,
+)
 from .poset import build_descent_poset, build_refinement_poset
 from .reports import VerificationReport, note_violation
 
@@ -92,15 +96,15 @@ def check_census_symmetry(n: int) -> VerificationReport:
         if count != census[partner]:
             note_violation(
                 violations,
-                f"count {count} at {DescentSet(n, mask)} != "
-                f"count {census[partner]} at {DescentSet(n, partner)}",
+                f"count {count} at {format_descent_set(mask)} != "
+                f"count {census[partner]} at {format_descent_set(partner)}",
             )
         if tally is not None:
             for name, value in ("census", count), ("counter", count_by_descent_set(n, mask)):
                 if value != tally[mask]:
                     note_violation(
                         violations,
-                        f"{name} disagrees with enumeration at {DescentSet(n, mask)}",
+                        f"{name} disagrees with enumeration at {format_descent_set(mask)}",
                     )
     if sum(census) != catalan(n):
         note_violation(violations, f"census total {sum(census)} != catalan({n})")

@@ -10,13 +10,16 @@ from catalan_posets.antichains import (
     max_antichain,
     max_antichain_elements,
 )
-from catalan_posets.bijection import ncp_to_perm, partition_descent_set, perm_to_ncp
+from catalan_posets.bijection import image_descent_mask, ncp_to_perm, perm_to_ncp
 from catalan_posets.census import build_census, count_by_descent_set
 from catalan_posets.counting import catalan, narayana
-from catalan_posets.descent_sets import reverse_complement_mask
 from catalan_posets.duality import check_self_duality
 from catalan_posets.partitions import SetPartition, enumerate_ncp, parse_partition
-from catalan_posets.permutations import descent_mask, enumerate_av132
+from catalan_posets.permutations import (
+    descent_mask,
+    enumerate_av132,
+    reverse_complement_mask,
+)
 from catalan_posets.poset import (
     build_descent_poset,
     build_refinement_poset,
@@ -72,7 +75,7 @@ def test_criterion_03_descent_formula():
     problems = []
     for n in range(1, 11):
         for q in enumerate_ncp(n):
-            if descent_mask(ncp_to_perm(q)) != partition_descent_set(q).mask:
+            if descent_mask(ncp_to_perm(q)) != image_descent_mask(q):
                 problems.append(f"descent mismatch at {q}")
                 break
     conclude(3, "descents are shifted block minima to 10", problems)

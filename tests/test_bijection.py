@@ -1,6 +1,6 @@
 import pytest
 
-from catalan_posets.bijection import ncp_to_perm, partition_descent_set, perm_to_ncp
+from catalan_posets.bijection import image_descent_mask, ncp_to_perm, perm_to_ncp
 from catalan_posets.partitions import SetPartition, enumerate_ncp, parse_partition
 from catalan_posets.permutations import descent_mask, enumerate_av132
 
@@ -63,15 +63,15 @@ def test_descent_set_is_shifted_block_minima():
     for n in range(1, 9):
         for q in enumerate_ncp(n):
             image_descents = descent_mask(ncp_to_perm(q))
-            assert image_descents == partition_descent_set(q).mask
+            assert image_descents == image_descent_mask(q)
             # one descent fewer than the number of blocks
             assert image_descents.bit_count() == len(q.blocks) - 1
 
 
-def test_partition_descent_set_golden():
+def test_image_descents_golden():
     q = parse_partition("{1,4,6}/{2,3}/{5}/{7,8}")
-    assert partition_descent_set(q).positions() == (1, 4, 6)
-    assert partition_descent_set(parse_partition("{1,2,3}")).positions() == ()
+    assert image_descent_mask(q) == 0b101001
+    assert image_descent_mask(parse_partition("{1,2,3}")) == 0
 
 
 def test_rejects_crossing_partition():

@@ -7,9 +7,12 @@ import support
 from catalan_posets import verify
 from catalan_posets.census import build_census, census_to_csv, count_by_descent_set
 from catalan_posets.counting import catalan
-from catalan_posets.descent_sets import reverse_complement_mask
 from catalan_posets.errors import CapacityError
-from catalan_posets.permutations import descent_mask, enumerate_av132
+from catalan_posets.permutations import (
+    descent_mask,
+    enumerate_av132,
+    reverse_complement_mask,
+)
 
 
 def test_census_matches_symmetric_group_filter():
@@ -121,10 +124,10 @@ def test_count_noncrossing_by_minima_edge_cases():
 
 
 def test_count_noncrossing_by_minima_matches_enumeration():
-    from catalan_posets.partitions import block_minima, enumerate_ncp
+    from catalan_posets.partitions import enumerate_ncp
 
     for n in range(1, 9):
-        tally = Counter(block_minima(q) for q in enumerate_ncp(n))
+        tally = Counter(tuple(b[0] for b in q.blocks) for q in enumerate_ncp(n))
         for minima, expected in tally.items():
             assert support.count_noncrossing_by_minima(n, minima) == expected
 
@@ -165,6 +168,39 @@ def test_csv_golden_size_three():
 
 def test_csv_size_one():
     assert census_to_csv(1) == "descent_set_text,size,count\n{},0,1\n"
+
+
+def test_csv_rows_spell_out_each_mask():
+    # two-digit positions from n = 11 on, such as {10,11} at n = 12
+    for n in range(1, 13):
+        lines = census_to_csv(n).split("\n")
+        assert lines[0] == "descent_set_text,size,count"
+        assert lines[-1] == ""
+        counts = build_census(n)
+        assert len(lines) == len(counts) + 2
+        for mask, line in enumerate(lines[1:-1]):
+            positions = [str(i) for i in range(1, n) if mask >> (i - 1) & 1]
+            text = "{" + ",".join(positions) + "}"
+            if len(positions) > 1:
+                text = f'"{text}"'
+            assert line == f"{text},{len(positions)},{counts[mask]}"
+
+
+def test_lemma_failure_prints_positions_in_braces(monkeypatch):
+    n = 12
+    mask = 0b11 << 9  # positions {10,11}
+    partner = reverse_complement_mask(n, mask)
+    assert partner == 0b111111111 << 2  # positions {3,...,11}
+    bad = list(build_census(n))
+    bad[mask] += 1
+    monkeypatch.setattr(verify, "build_census", lambda n: tuple(bad))
+    report = verify.check_census_symmetry(n)
+    other = "{" + ",".join(map(str, range(3, 12))) + "}"
+    assert report.violations == (
+        f"count {bad[mask]} at {{10,11}} != count {bad[partner]} at {other}",
+        f"count {bad[partner]} at {other} != count {bad[mask]} at {{10,11}}",
+        f"census total {sum(bad)} != catalan(12)",
+    )
 
 
 def test_csv_row_counts():

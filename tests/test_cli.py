@@ -49,6 +49,20 @@ def test_enumerate_limit_zero(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("kind", ["av132", "ncp"])
+def test_enumerate_limit_above_maxsize_lists_the_whole_family(tmp_path, capsys, kind):
+    limit = str(sys.maxsize * 10**5)
+    _, whole, _ = run_cli(capsys, "enumerate", kind, "--n", "3")
+    code, out, err = run_cli(capsys, "enumerate", kind, "--n", "3", "--limit", limit)
+    assert (code, out, err) == (0, whole, "")
+    target = tmp_path / "out.txt"
+    code, out, err = run_cli(
+        capsys, "enumerate", kind, "--n", "3", "--limit", limit, "--output", str(target)
+    )
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == whole
+
+
 def test_enumerate_to_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     code, out, _ = run_cli(

@@ -123,8 +123,11 @@ def test_permutation_level_description_of_pairing():
     # descent-set level
     poset = build_descent_poset(5)
     mapping = construct_antiautomorphism(poset)
-    from catalan_posets.descent_sets import reverse_complement_mask
-    from catalan_posets.permutations import descent_mask, enumerate_av132
+    from catalan_posets.permutations import (
+        descent_mask,
+        enumerate_av132,
+        reverse_complement_mask,
+    )
 
     perms = list(enumerate_av132(5))
     for i, p in enumerate(perms):
@@ -230,7 +233,7 @@ def test_self_duality_reports_a_flipped_order_bit(monkeypatch, n):
 
 def pairwise_coarsening_violations(n):
     q_poset = build_refinement_poset(n)
-    fmask = [duality._image_descent_mask(q) for q in q_poset.elements]
+    fmask = [duality.image_descent_mask(q) for q in q_poset.elements]
     violations = []
     for a, b in support.strict_pairs(q_poset):
         if fmask[b] == fmask[a] or fmask[b] & fmask[a] != fmask[b]:
@@ -251,12 +254,12 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("name", CORRUPTIONS)
 def test_coarsening_reports_corrupted_descent_sets(monkeypatch, name):
-    true_mask = duality._image_descent_mask
+    true_mask = duality.image_descent_mask
 
     def fake(q):
         return CORRUPTIONS[name](q.n, true_mask(q))
 
-    monkeypatch.setattr(duality, "_image_descent_mask", fake)
+    monkeypatch.setattr(duality, "image_descent_mask", fake)
     for n in (3, 5, 6):
         report = check_coarsening(n)
         assert report.passed is False, name

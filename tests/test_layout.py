@@ -1,0 +1,85 @@
+"""The package holds no public name that only the tests use.
+
+A public module-level function, class or constant of a module in
+``src/catalan_posets`` must be referenced by other code in ``src``, by
+``pyproject.toml`` or by the code in ``benchmarks/``.  References are
+names and attributes in the parsed code, so docstrings and doctests do
+not count, and neither does a definition's use of its own name.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "catalan_posets"
+
+
+def defined_names(statement):
+    """Public names bound at module level by one statement."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, ast.Assign):
+        names = [
+            node.id
+            for target in statement.targets
+            for node in ast.walk(target)
+            if isinstance(node, ast.Name)
+        ]
+    elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        names = [statement.target.id]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def used_names(tree):
+    """Every name the code in tree loads, reads as an attribute or imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def unreferenced_public_names():
+    definitions = []  # (module, name, defining statement)
+    statements = []  # every top-level statement of src, with its names
+    for path in sorted(PACKAGE.glob("*.py")):
+        for statement in ast.parse(path.read_text(), str(path)).body:
+            statements.append((statement, used_names(statement)))
+            definitions.extend(
+                (path.stem, name, statement) for name in defined_names(statement)
+            )
+    outside = set()
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        outside |= used_names(ast.parse(path.read_text(), str(path)))
+    outside |= set(re.findall(r"\w+", (ROOT / "pyproject.toml").read_text()))
+    return [
+        f"{module}.{name}"
+        for module, name, home in definitions
+        if name not in outside
+        and not any(name in used for other, used in statements if other is not home)
+    ]
+
+
+def test_names_are_read_from_code_not_from_docstrings():
+    tree = ast.parse(
+        "LIMIT: int = 3\n"
+        "def walk(k):\n"
+        '    """Stops at DONE; see walk_all and >>> walk(LIMIT)."""\n'
+        "    return walk(k - 1) if k else step(LIMIT)\n"
+    )
+    first, second = tree.body
+    assert defined_names(first) == ["LIMIT"]
+    assert defined_names(second) == ["walk"]
+    # a definition's use of its own name is dropped by the caller
+    assert used_names(second) == {"walk", "k", "step", "LIMIT"}
+
+
+def test_every_public_name_in_src_has_a_user_outside_the_tests():
+    assert unreferenced_public_names() == []

@@ -11,7 +11,6 @@ from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.partitions import (
     SetPartition,
     _ncp_text,
-    block_minima,
     enumerate_ncp,
     format_partition,
     parse_partition,
@@ -69,11 +68,6 @@ def test_constructor_error_texts(n, blocks, text):
     with pytest.raises(ValueError) as caught:
         SetPartition(n, blocks)
     assert str(caught.value) == text
-
-
-def test_block_access():
-    q = SetPartition.from_blocks([(1, 4, 6), (2, 3), (5,), (7, 8)])
-    assert block_minima(q) == (1, 2, 5, 7)
 
 
 def test_noncrossing_agrees_with_definition_exhaustively():

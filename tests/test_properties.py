@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from catalan_posets.bijection import ncp_to_perm, partition_descent_set, perm_to_ncp
+from catalan_posets.bijection import image_descent_mask, ncp_to_perm, perm_to_ncp
 from catalan_posets.census import count_by_descent_set
-from catalan_posets.descent_sets import reverse_complement_mask
 from catalan_posets.partitions import (
     SetPartition,
     enumerate_ncp,
@@ -17,6 +16,7 @@ from catalan_posets.permutations import (
     descent_mask,
     format_permutation,
     parse_permutation,
+    reverse_complement_mask,
 )
 from catalan_posets.poset import build_descent_poset
 
@@ -118,7 +118,7 @@ def test_bijection_round_trip(n, seed):
     q = SetPartition(n, tuple(map(tuple, blocks)))
     p = ncp_to_perm(q)
     assert perm_to_ncp(p) == q
-    assert descent_mask(p) == partition_descent_set(q).mask
+    assert descent_mask(p) == image_descent_mask(q)
 
 
 @given(random_noncrossing(), random_noncrossing())
