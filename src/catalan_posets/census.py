@@ -10,8 +10,14 @@ block: every count moves one deeper, which appends a 0 for depth 1.  Any
 other element joins an open block and closes every block opened after
 it, so depth d is reached from every depth >= d: the running sums.
 build_census walks the choices for 2..n depth first, sharing each prefix
-between sibling masks; count_by_descent_set follows one mask.  The lemma
-check compares both with a tally over the enumeration.
+between sibling masks.  count_by_descent_set splits a mask's positions
+into a low and a high half: the transfer over the low half counts the
+ways to reach each depth, the transposed transfer run down from the top
+counts the ways to finish from each depth (a descent drops depth 1, any
+other element takes prefix sums from depth 1 up), and the count is their
+dot product.  Up to CAPACITY["census"] each half is memoised by its own
+bits, 2^7 + 2^8 entries over all masks at n = 16; above it nothing is
+kept.  The lemma check compares both with a tally over the enumeration.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ import csv
 import io
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 
-from .errors import check_capacity
+from .errors import CAPACITY, check_capacity
 from .permutations import format_descent_set
 
 
@@ -35,7 +42,7 @@ def build_census(n: int) -> tuple[int, ...]:
     >>> sum(build_census(5))
     42
     """
-    check_capacity("enumeration", n)
+    check_capacity("census", n)
     counts = [0] * (1 << (n - 1))
     # (next element, mask so far, depth vector); element 1 opens a block
     stack = [(2, 0, [1])]
@@ -63,13 +70,44 @@ def count_by_descent_set(n: int, mask: int) -> int:
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0 <= mask < 1 << (n - 1):
         raise ValueError(f"descent mask {mask:#b} out of range for n={n}")
+    low_width = (n - 1) // 2
+    low, high = mask & ((1 << low_width) - 1), mask >> low_width
+    if n <= CAPACITY["census"]:
+        # keyed by its own bits, the backward half starts deep enough for
+        # any low half; the dot product stops at the forward vector's end
+        forward, backward, deepest = _forward, _backward, low_width
+    else:
+        forward, backward = _forward.__wrapped__, _backward.__wrapped__
+        deepest = low.bit_count()
+    reach = forward(low, low_width)
+    finish = backward(high, n - 1 - low_width, 1 + deepest + high.bit_count())
+    return sum(map(mul, reach, finish))
+
+
+@lru_cache(maxsize=None)
+def _forward(bits: int, width: int) -> tuple[int, ...]:
+    """Ways to reach each depth after the elements 2..width + 1 whose
+    descents are bits, depth 1 first."""
     depths = [1]
-    for x in range(n - 1):
-        if mask >> x & 1:
+    for x in range(width):
+        if bits >> x & 1:
             depths.append(0)
         else:
             depths = list(accumulate(depths))
-    return sum(depths)
+    return tuple(reversed(depths))
+
+
+@lru_cache(maxsize=None)
+def _backward(bits: int, width: int, ones: int) -> tuple[int, ...]:
+    """Ways to finish from each depth, depth 1 first, through the last
+    width elements whose descents are bits; it starts from ones depths."""
+    finish = [1] * ones
+    for x in reversed(range(width)):
+        if bits >> x & 1:
+            del finish[0]
+        else:
+            finish = list(accumulate(finish))
+    return tuple(finish)
 
 
 def census_to_csv(n: int) -> str:

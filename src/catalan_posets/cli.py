@@ -102,6 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdio(name: str):
+    """sys.stdin or sys.stdout; Python sets it to None when the process
+    starts with that descriptor closed."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(f"{name} is closed")
+    return stream
+
+
 def _write(chunks: Iterable[str], path: str | None) -> None:
     """Write each chunk as it comes, to stdout or to a new file at path.
 
@@ -116,7 +125,7 @@ def _write(chunks: Iterable[str], path: str | None) -> None:
             for chunk in chunks:
                 handle.write(chunk)
         return
-    out = sys.stdout
+    out = _stdio("stdout")
     binary = getattr(out, "buffer", None)
     if binary is None:  # a text-only stream such as io.StringIO
         for chunk in chunks:
@@ -143,7 +152,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     # stdin carries elements longer than the OS allows for one argument
-    text = sys.stdin.read().removesuffix("\n") if args.text == "-" else args.text
+    text = _stdio("stdin").read().removesuffix("\n") if args.text == "-" else args.text
     if args.direction == "f":
         result = format_permutation(ncp_to_perm(parse_partition(text)))
     else:
@@ -166,15 +175,16 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    out = _stdio("stdout")
     if "all" in args.checks:
         names, clamp = tuple(CHECKS), True
     else:
         names, clamp = args.checks, False
     reports = run_checks(names, args.n, clamp=clamp)
     for report in reports:
-        sys.stdout.write(report.summary_line() + "\n")
+        out.write(report.summary_line() + "\n")
         for detail in report.violations:
-            sys.stdout.write(f"  violation: {detail}\n")
+            out.write(f"  violation: {detail}\n")
         print(
             f"{report.name} n={report.n}: {report.elapsed:.3f}s", file=sys.stderr
         )
@@ -194,7 +204,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = _HANDLERS[args.command](args)
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except BrokenPipeError as error:
         # the reader closed stdout: send what is still buffered to devnull,

@@ -13,8 +13,10 @@ class CapacityError(Exception):
 
 
 #: Largest n each size-limited operation supports.  Enumeration is cached
-#: per level, so its cap also bounds the memory repeated calls hold; poset
-#: construction holds one bit row per element.  A "check" entry is the
+#: per level, so its cap also bounds the memory repeated calls hold; the
+#: census holds one count per mask, and the descent-set counter memoises
+#: its half-mask transfers only up to the same size; poset construction
+#: holds one bit row per element.  A "check" entry is the
 #: largest size at which that check stays exhaustive within an interactive
 #: budget.  The last three are sizes inside a check: the lemma check
 #: compares the census and the counter with a tally over the enumeration
@@ -22,6 +24,7 @@ class CapacityError(Exception):
 #: at the smaller of their entry and its own size.
 CAPACITY = {
     "enumeration": 12,
+    "census": 16,
     "poset construction": 9,
     "check coarsening": 8,
     "check ranks": 9,

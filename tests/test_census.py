@@ -7,7 +7,8 @@ import support
 from catalan_posets import verify
 from catalan_posets.census import build_census, census_to_csv, count_by_descent_set
 from catalan_posets.counting import catalan
-from catalan_posets.errors import CapacityError
+from catalan_posets.census import _backward, _forward
+from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.permutations import (
     descent_mask,
     enumerate_av132,
@@ -85,10 +86,33 @@ def test_census_size_four_golden():
 
 
 def test_recursive_counter_agrees_with_census():
-    for n in range(1, 10):
+    # every mask through the census cap, where both run; at n = 1 and
+    # n = 2 the counter's low half has no positions
+    assert count_by_descent_set(1, 0) == build_census(1)[0] == 1
+    assert count_by_descent_set(2, 0) == build_census(2)[0] == 1
+    assert count_by_descent_set(2, 1) == build_census(2)[1] == 1
+    for n in range(1, CAPACITY["census"] + 1):
         census = build_census(n)
         for mask in range(1 << (n - 1)):
             assert count_by_descent_set(n, mask) == census[mask]
+
+
+def memo_sizes():
+    return _forward.cache_info().currsize, _backward.cache_info().currsize
+
+
+def test_counter_memo_is_bounded():
+    _forward.cache_clear()
+    _backward.cache_clear()
+    for mask in range(1 << 15):
+        count_by_descent_set(16, mask)
+    # each half is keyed by its own bits: 2^7 low halves, 2^8 high halves
+    assert memo_sizes() == (1 << 7, 1 << 8)
+    for n, draws in [(CAPACITY["census"] + 1, 64), (300, 5), (2000, 1)]:
+        rng = random.Random(n)
+        for _ in range(draws):
+            count_by_descent_set(n, rng.getrandbits(n - 1))
+        assert memo_sizes() == (1 << 7, 1 << 8)
 
 
 def test_recursive_counter_shift_and_trivial_cases():
@@ -151,7 +175,7 @@ def test_counters_reject_bad_masks():
 
 def test_census_capacity():
     with pytest.raises(CapacityError):
-        build_census(13)
+        build_census(CAPACITY["census"] + 1)
     with pytest.raises(CapacityError):
         build_census(0)
 

@@ -344,6 +344,38 @@ def test_map_closed_pipe_is_one_error_line():
     )
 
 
+def run_with_closed_fd(fd, *argv):
+    # the child starts with fd closed, so Python sets that stream to None
+    return subprocess.run(
+        [sys.executable, "-m", "catalan_posets", *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.close(fd),
+    )
+
+
+@pytest.mark.parametrize(
+    "fd, argv",
+    [
+        (0, ["map", "f", "-"]),
+        (1, ["census", "--n", "3"]),
+        (1, ["verify", "--n", "3", "--checks", "lemma"]),
+    ],
+    ids=["map-stdin", "census-stdout", "verify-stdout"],
+)
+def test_closed_standard_stream_is_one_error_line(fd, argv):
+    result = run_with_closed_fd(fd, *argv)
+    stream = ("stdin", "stdout")[fd]
+    assert (result.returncode, result.stderr) == (1, f"error: {stream} is closed\n")
+
+
+def test_closed_stdout_is_not_needed_with_output(tmp_path):
+    target = tmp_path / "census.csv"
+    result = run_with_closed_fd(1, "census", "--n", "3", "--output", str(target))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert target.read_text() == CENSUS3
+
+
 BIG = 2000
 IDENTITY = ",".join(map(str, range(1, BIG + 1)))
 DECREASING = ",".join(map(str, range(BIG, 0, -1)))
