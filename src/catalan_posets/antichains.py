@@ -5,25 +5,23 @@ matching on the split bipartite graph of strict comparabilities yields a
 minimum chain cover, and unreachable/reachable sides of the final
 alternating search certify a maximum antichain of the same size.
 
-The largest union of k antichains comes from the chain side of
-Greene-Kleitman duality: a min-cost flow builds chain families whose
-coverage gains form a partition, and the conjugate partial sums of that
-partition are the k-antichain numbers.  The flow is primal-dual (Frank
-1980): each phase runs one Dijkstra on reduced costs, which fixes the
-next gain, then a max flow over the arcs of reduced cost 0 finds every
-chain of that gain at once, so there is one shortest-path run per
-distinct gain rather than one per chain.
+The largest union of k antichains of P is the width of P x C_k, where
+C_k is a k-element chain (Saks 1979), so the same matching finds it.  A
+k-family splits into k antichains by each element's height within the
+family; put height h at level k - h of C_k, and the family becomes an
+antichain of P x C_k.  Conversely, each level of an antichain of P x C_k
+is an antichain of P, and different levels hold different elements.
+The increments of these numbers in k are conjugate to the coverage gains
+of successive optimal chain families (Greene-Kleitman 1976); the tests
+check that against the chain-side flow oracle in tests/support.py.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from heapq import heappop, heappush
 from typing import Sequence
 
 from .poset import GradedPoset, iter_bits
-
-_INF = float("inf")
 
 
 def _strict_rows(poset: GradedPoset) -> list[int]:
@@ -99,8 +97,9 @@ def hopcroft_karp(adjacency: Sequence[int], right_size: int) -> tuple[list[int],
                 break
 
 
-def max_antichain_elements(poset: GradedPoset) -> tuple[int, ...]:
-    """Indices of one maximum antichain.
+def _certified_antichain(strict: Sequence[int]) -> tuple[int, ...]:
+    """Indices of one maximum antichain of the order whose strict rows
+    are given (strict[x] is the bitmask of elements above x).
 
     The alternating search from unmatched chain starts splits the split
     graph into reachable and unreachable sides; elements whose left copy
@@ -108,17 +107,13 @@ def max_antichain_elements(poset: GradedPoset) -> tuple[int, ...]:
     chain-cover bound, which certifies maximality.  The certificate is
     re-checked before returning.
     """
-    strict = _strict_rows(poset)
-    match_left, match_right = hopcroft_karp(strict, poset.size)
-    matched = sum(1 for v in match_left if v != -1)
-    target = poset.size - matched
-    reached_left = 0
+    size = len(strict)
+    match_left, match_right = hopcroft_karp(strict, size)
+    # one chain of the minimum cover starts at each unmatched left copy
+    frontier = [u for u in range(size) if match_left[u] == -1]
+    target = len(frontier)
+    reached_left = sum(1 << u for u in frontier)
     reached_right = 0
-    frontier = []
-    for u in range(poset.size):
-        if match_left[u] == -1:
-            reached_left |= 1 << u
-            frontier.append(u)
     while frontier:
         fresh_left = []
         for u in frontier:
@@ -140,6 +135,11 @@ def max_antichain_elements(poset: GradedPoset) -> tuple[int, ...]:
     return antichain
 
 
+def max_antichain_elements(poset: GradedPoset) -> tuple[int, ...]:
+    """Indices of one maximum antichain, certified by _certified_antichain."""
+    return _certified_antichain(_strict_rows(poset))
+
+
 def max_antichain(poset: GradedPoset) -> int:
     """Width of the poset.
 
@@ -157,15 +157,12 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
     """Nonincreasing coverage gains of successive optimal chain families.
 
     Entry sums give the most elements coverable by 1, 2, ... disjoint
-    chains; the whole profile is a partition of the element count.  Found
-    by min-cost flow on the split graph (each element crossed at gain 1),
-    with potentials seeded by a rank-order relaxation, which is exact
-    because every strict comparability goes up in rank (checked first).
-    Each primal-dual phase runs one Dijkstra on reduced costs, which
-    fixes the next gain, then a max flow over the residual arcs of
-    reduced cost 0: every path it finds is a chain of that gain.  Once
-    the gain is a single element all later ones are too, so the tail is
-    filled without flows.
+    chains; the whole profile is a partition of the element count.  It is
+    the conjugate of the increments a_k - a_(k-1), where a_k, the largest
+    union of k antichains, is the width of P x C_k from hopcroft_karp
+    with its antichain certificate re-checked, for k = 1, 2, ... until
+    a_k is the element count or an increment is 1 (all later ones are
+    then 1).  The ranks must grade the order (checked first).
 
     >>> from .poset import build_descent_poset
     >>> chain_cover_profile(build_descent_poset(4)) == (4, 2, 2, 2, 2, 2)
@@ -182,129 +179,31 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
         raise ValueError(
             "ranks do not grade the order: some element is below one of no higher rank"
         )
-    source = 2 * size
-    sink = 2 * size + 1
-    node_count = 2 * size + 2
-    to: list[int] = []
-    cap: list[int] = []
-    cost: list[int] = []
-    adjacency: list[list[int]] = [[] for _ in range(node_count)]
-
-    def add_edge(u: int, v: int, c: int, w: int) -> None:
-        adjacency[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        cost.append(w)
-        adjacency[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-        cost.append(-w)
-
-    for i in range(size):
-        add_edge(source, 2 * i, 1, 0)
-        add_edge(2 * i, 2 * i + 1, 1, -1)
-        add_edge(2 * i + 1, sink, 1, 0)
-        for j in iter_bits(strict[i]):
-            add_edge(2 * i + 1, 2 * j, 1, 0)
-
-    # exact initial distances by relaxing in rank order
-    dist0 = [_INF] * node_count
-    dist0[source] = 0
-    for i in range(size):
-        dist0[2 * i] = 0
-    for i in sorted(range(size), key=poset.ranks.__getitem__):
-        through = dist0[2 * i] - 1
-        if through < dist0[2 * i + 1]:
-            dist0[2 * i + 1] = through
-        out = dist0[2 * i + 1]
-        if out < dist0[sink]:
-            dist0[sink] = out
-        for j in iter_bits(strict[i]):
-            if out < dist0[2 * j]:
-                dist0[2 * j] = out
-    potential = dist0
-
-    profile: list[int] = []
-    covered = 0
-    while covered < size:
-        dist = [_INF] * node_count
-        dist[source] = 0
-        heap = [(0, source)]
-        while heap:
-            d, u = heappop(heap)
-            if d > dist[u]:
-                continue
-            pu = potential[u]
-            for eid in adjacency[u]:
-                if cap[eid] <= 0:
-                    continue
-                v = to[eid]
-                nd = d + cost[eid] + pu - potential[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
-        reach = dist[sink]
-        if reach == _INF:
-            raise RuntimeError("no augmenting path although elements remain uncovered")
-        for v in range(node_count):
-            potential[v] += min(dist[v], reach)
-        gain = -int(potential[sink])
-        if gain <= 0 or (profile and gain > profile[-1]):
-            raise RuntimeError("augmentation gains are not a nonincreasing partition")
+    # bit block b of P x C_k holds a copy of P that lies below blocks
+    # 0 .. b - 1; each k adds a block at the bottom, so the rows of the
+    # blocks already built stay as they are
+    product: list[int] = []
+    above = [0] * size  # per x: the built blocks' elements above x's copy in the next
+    increments: list[int] = []
+    union = 0
+    while union < size:
+        offset = len(product)
+        product.extend(up | row << offset for up, row in zip(above, strict))
+        above = [up | row << offset for up, row in zip(above, poset.leq_rows)]
+        width = len(_certified_antichain(product))
+        gain = width - union
+        if gain <= 0 or (increments and gain > increments[-1]):
+            raise RuntimeError("k-antichain increments are not a nonincreasing partition")
+        increments.append(gain)
+        union = width
         if gain == 1:
+            # later increments are positive and none is larger: all are 1
+            increments.extend([1] * (size - union))
             break
-        # max flow over the arcs of reduced cost 0; the reverse of such an
-        # arc has reduced cost 0 too, so every path found costs -gain.
-        # Each pass is one depth-first search on an explicit stack with
-        # current-arc pointers and dead-node marks; an augmentation can
-        # revive a dead node, so passes repeat until one finds nothing.
-        paths = 0
-        while True:
-            found = 0
-            pointer = [0] * node_count
-            blocked = [False] * node_count  # dead, or on the current path
-            blocked[source] = True
-            path = [source]
-            arcs: list[int] = []
-            while path:
-                u = path[-1]
-                if u == sink:
-                    for eid in arcs:
-                        cap[eid] -= 1
-                        cap[eid ^ 1] += 1
-                    for v in path[1:]:
-                        blocked[v] = False
-                    del path[1:]
-                    arcs.clear()
-                    found += 1
-                    continue
-                edges = adjacency[u]
-                pu = potential[u]
-                k = pointer[u]
-                while k < len(edges):
-                    eid = edges[k]
-                    v = to[eid]
-                    if cap[eid] > 0 and not blocked[v] and cost[eid] + pu == potential[v]:
-                        break
-                    k += 1
-                pointer[u] = k
-                if k == len(edges):
-                    path.pop()  # u stays blocked: dead for this pass
-                    if arcs:
-                        arcs.pop()
-                    continue
-                blocked[v] = True
-                path.append(v)
-                arcs.append(eid)
-            if not found:
-                break
-            paths += found
-        if not paths:
-            raise RuntimeError("no path of reduced cost 0 although the sink was reached")
-        profile.extend([gain] * paths)
-        covered += gain * paths
-    profile.extend([1] * (size - covered))
-    return tuple(profile)
+    return tuple(
+        sum(1 for gain in increments if gain > part)
+        for part in range(max(increments, default=0))
+    )
 
 
 def max_k_antichain_union(poset: GradedPoset, k: int) -> int:

@@ -111,6 +111,18 @@ def _stdio(name: str):
     return stream
 
 
+def _note(line: str) -> None:
+    """Write one line to stderr if it takes it.  What goes there is a
+    diagnostic: a closed or unwritable stderr must change neither stdout
+    nor the exit status, and print(file=None) would write to stdout."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def _write(chunks: Iterable[str], path: str | None) -> None:
     """Write each chunk as it comes, to stdout or to a new file at path.
 
@@ -185,9 +197,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         out.write(report.summary_line() + "\n")
         for detail in report.violations:
             out.write(f"  violation: {detail}\n")
-        print(
-            f"{report.name} n={report.n}: {report.elapsed:.3f}s", file=sys.stderr
-        )
+        _note(f"{report.name} n={report.n}: {report.elapsed:.3f}s")
     return 0 if all(report.passed for report in reports) else 1
 
 
@@ -211,10 +221,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the reader closed stdout: send what is still buffered to devnull,
         # so that the interpreter's own flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {error}", file=sys.stderr)
+        _note(f"error: {error}")
         return 1
     except (CapacityError, ValueError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
+        _note(f"error: {error}")
         return 1
 
 

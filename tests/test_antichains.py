@@ -208,13 +208,23 @@ def test_chain_union_sums_match_maximal_chain_bruteforce():
                 assert sum(profile[:k]) == support.brute_max_k_chain_union(poset, k)
 
 
-def test_antichain_unions_match_subset_bruteforce():
+def antichain_union_inputs():
     for n in range(1, 5):
         for poset in both_posets(n):
-            for k in range(1, n + 2):
-                assert max_k_antichain_union(
-                    poset, k
-                ) == support.brute_max_k_antichain_union(poset, k)
+            yield poset, n + 1
+    # posets with no Catalan structure, every k up to the size
+    rng = random.Random(15)
+    for _ in range(40):
+        size = rng.randint(1, 12)
+        yield random_graded_poset(rng, size, rng.choice((0.1, 0.25, 0.5, 0.9))), size
+
+
+def test_antichain_unions_match_subset_bruteforce():
+    for poset, top in antichain_union_inputs():
+        for k in range(1, top + 1):
+            assert max_k_antichain_union(
+                poset, k
+            ) == support.brute_max_k_antichain_union(poset, k)
 
 
 def test_antichain_union_goldens_size_four():

@@ -369,6 +369,32 @@ def test_closed_standard_stream_is_one_error_line(fd, argv):
     assert (result.returncode, result.stderr) == (1, f"error: {stream} is closed\n")
 
 
+@pytest.mark.parametrize(
+    "spoil_stderr",
+    [lambda: os.close(2), lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2)],
+    ids=["closed", "read-only"],
+)
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["verify", "--n", "3", "--checks", "lemma"], 0, "lemma n=3: examined=4 pass\n"),
+        (["census", "--n", "17"], 1, ""),
+    ],
+    ids=["verify", "census-error"],
+)
+def test_stderr_lines_leave_stdout_and_exit_status_alone(spoil_stderr, argv, code, out):
+    # started with stderr closed, Python sets sys.stderr to None, and
+    # print(file=None) writes to stdout; opened read-only, as a shell's
+    # 2>&- can leave it, each write to it fails with EBADF
+    result = subprocess.run(
+        [sys.executable, "-m", "catalan_posets", *argv],
+        stdout=subprocess.PIPE,
+        text=True,
+        preexec_fn=spoil_stderr,
+    )
+    assert (result.returncode, result.stdout) == (code, out)
+
+
 def test_closed_stdout_is_not_needed_with_output(tmp_path):
     target = tmp_path / "census.csv"
     result = run_with_closed_fd(1, "census", "--n", "3", "--output", str(target))
