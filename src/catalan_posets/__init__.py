@@ -10,7 +10,6 @@ imported from its own module.
 from .antichains import chain_cover_profile, max_antichain
 from .bijection import ncp_to_perm, perm_to_ncp
 from .census import census_to_csv, count_by_descent_set
-from .duality import check_coarsening, check_self_duality
 from .errors import CapacityError
 from .partitions import SetPartition, enumerate_ncp, format_partition, parse_partition
 from .permutations import enumerate_av132, format_permutation, parse_permutation
@@ -21,8 +20,12 @@ from .poset import (
     poset_to_dot,
     poset_to_json,
 )
-from .reports import VerificationReport
-from .verify import run_checks
+from .verify import (
+    VerificationReport,
+    check_coarsening,
+    check_self_duality,
+    run_checks,
+)
 
 __version__ = "0.1.0"
 

@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import check_capacity
 from .partitions import SetPartition, enumerate_ncp, format_partition
@@ -38,16 +38,25 @@ def iter_bits(mask: int) -> Iterator[int]:
         yield digit.start()
 
 
-def superset_sums(fiber: list[int], width: int) -> list[int]:
-    """Entry s is the union of fiber[t] over every t containing s, for
-    fiber indexed by the subsets of a width-bit universe."""
-    above = list(fiber)
+def properly_inside(masks: Sequence[int], width: int) -> list[int]:
+    """Entry s is the bitset of the indices j with masks[j] properly inside
+    s, for masks over a width-bit universe: each index is filed under its
+    mask, subset sums collect the indices whose mask lies inside s, and the
+    fiber of s itself is taken off.
+
+    >>> properly_inside([0b00, 0b01, 0b11], 2)
+    [0, 1, 1, 3]
+    """
+    fiber = [0] * (1 << width)
+    for j, mask in enumerate(masks):
+        fiber[mask] |= 1 << j
+    inside = list(fiber)
     for b in range(width):
         bit = 1 << b
-        for s in range(len(above)):
-            if not s & bit:
-                above[s] |= above[s | bit]
-    return above
+        for s in range(len(inside)):
+            if s & bit:
+                inside[s] |= inside[s ^ bit]
+    return [whole ^ own for whole, own in zip(inside, fiber)]
 
 
 @dataclass(frozen=True)
@@ -114,14 +123,14 @@ def build_descent_poset(n: int) -> GradedPoset:
     check_capacity("poset construction", n)
     elements = tuple(enumerate_av132(n))
     masks = _descent_masks(n)
-    universe = 1 << (n - 1)
-    fiber = [0] * universe
+    full = (1 << (n - 1)) - 1
+    # j lies strictly above i when the complement of j's mask is properly
+    # inside the complement of i's
+    above = properly_inside([full ^ m for m in masks], n - 1)
+    leq_rows = tuple(above[full ^ m] | (1 << i) for i, m in enumerate(masks))
+    fiber = [0] * (full + 1)
     for i, m in enumerate(masks):
         fiber[m] |= 1 << i
-    above = superset_sums(fiber, n - 1)
-    leq_rows = tuple(
-        (above[m] & ~fiber[m]) | (1 << i) for i, m in enumerate(masks)
-    )
     # every descent set is realized, so the covers are exactly the pairs
     # whose masks differ by a single added descent
     if not all(fiber):

@@ -4,18 +4,29 @@ Each check is exhaustive at its scale and returns reports whose violation
 lists are expected to be empty.  Caps reflect where exhaustive checking
 stays within interactive budgets; exceeding one raises a capacity error
 rather than silently thinning the check.
+
+Two checks are order reversals.  Coarsening a noncrossing partition
+strictly shrinks the descent set of its image permutation, so the
+bijection turns refinement upside down.  The descent order is also its
+own upside-down image: pairing each descent class with its
+reverse-complement class, and members in lexicographic order within
+classes, reverses every comparison.  Both decide all ordered pairs at
+once: properly_inside collects, for each descent set, the elements whose
+mask lies properly inside it, and each up-row of a poset is compared with
+one entry.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 from .antichains import check_k_sperner, max_antichain, max_antichain_elements
-from .bijection import perm_to_ncp
+from .bijection import image_descent_mask, perm_to_ncp
 from .census import build_census, count_by_descent_set
-from .counting import catalan, narayana
-from .duality import check_coarsening, check_self_duality
 from .errors import CAPACITY, check_capacity
 from .partitions import enumerate_ncp
 from .permutations import (
@@ -24,8 +35,185 @@ from .permutations import (
     format_descent_set,
     reverse_complement_mask,
 )
-from .poset import build_descent_poset, build_refinement_poset
-from .reports import VerificationReport, note_violation
+from .poset import (
+    GradedPoset,
+    _descent_masks,
+    build_descent_poset,
+    build_refinement_poset,
+    iter_bits,
+    properly_inside,
+)
+
+#: Number of violation details retained per report; the rest are dropped
+#: after a closing marker so a badly failing check cannot flood memory.
+MAX_VIOLATION_DETAILS = 5
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Outcome of one check at one ground size.
+
+    examined counts the pairs or subsets actually tested.  Wall time is
+    carried for diagnostics but deliberately left out of summary_line so
+    the line is reproducible byte for byte.
+    """
+
+    name: str
+    n: int
+    examined: int
+    violations: tuple[str, ...] = ()
+    elapsed: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def summary_line(self) -> str:
+        status = "pass" if self.passed else "FAIL"
+        return f"{self.name} n={self.n}: examined={self.examined} {status}"
+
+
+def note_violation(violations: list[str], message: str) -> None:
+    """Append a violation detail, capping the list."""
+    if len(violations) < MAX_VIOLATION_DETAILS:
+        violations.append(message)
+    elif len(violations) == MAX_VIOLATION_DETAILS:
+        violations.append("further violations omitted")
+
+
+def narayana(n: int, k: int) -> int:
+    """Number of noncrossing partitions of [n] with exactly k blocks.
+
+    Computed as C(n,k) * C(n,k-1) / n, which is always an integer.
+
+    >>> narayana(4, 2)
+    6
+    >>> [narayana(4, k) for k in range(1, 5)]
+    [1, 6, 6, 1]
+    >>> narayana(8, 4)
+    490
+    """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be between 1 and {n}, got {k}")
+    q, r = divmod(comb(n, k) * comb(n, k - 1), n)
+    if r:
+        raise ArithmeticError(f"narayana({n}, {k}) is not an integer")
+    return q
+
+
+@lru_cache(maxsize=None)
+def catalan(n: int) -> int:
+    """n-th Catalan number, as the sum of the Narayana row.
+
+    >>> catalan(4)
+    14
+    >>> catalan(12)
+    208012
+    """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    return sum(narayana(n, k) for k in range(1, n + 1))
+
+
+def check_coarsening(n: int) -> VerificationReport:
+    """Test, over every strict refinement pair a < b, that the descent set
+    of b's image is properly inside that of a's image: each strict up-row
+    of the refinement poset is tested against one entry of properly_inside
+    over the image descent sets.
+    """
+    start = time.perf_counter()
+    q_poset = build_refinement_poset(n)
+    fmask = [image_descent_mask(q) for q in q_poset.elements]
+    inside = properly_inside(fmask, n - 1)
+    examined = 0
+    violations: list[str] = []
+    for i, mask in enumerate(fmask):
+        strict = q_poset.leq_rows[i] & ~(1 << i)
+        examined += strict.bit_count()
+        for j in iter_bits(strict & ~inside[mask]):
+            note_violation(
+                violations,
+                f"{q_poset.label(i)} < {q_poset.label(j)}: "
+                f"image descent sets do not properly shrink",
+            )
+    return VerificationReport(
+        "coarsening", n, examined, tuple(violations), time.perf_counter() - start
+    )
+
+
+def construct_antiautomorphism(poset: GradedPoset) -> tuple[int, ...]:
+    """Build the order-reversing pairing of the descent poset, as the tuple
+    whose entry i is the index paired with element i.
+
+    Elements are grouped by descent set; the class of S is matched to the
+    class of the reverse complement of S, members paired by lexicographic
+    rank.  A class size mismatch would falsify the counting symmetry the
+    pairing rests on, so it raises rather than returning a partial map.
+    The descent poset on [n] lists enumerate_av132(n) in order, so the
+    descent masks come from the table its builder filled.
+
+    >>> construct_antiautomorphism(build_descent_poset(4))[0]   # 1234 pairs with 4321
+    13
+    """
+    if poset.family != "P":
+        raise ValueError("the pairing is defined on the descent poset")
+    classes: dict[int, list[int]] = {}
+    for i, mask in enumerate(_descent_masks(poset.n)):
+        classes.setdefault(mask, []).append(i)
+    mapping = [0] * poset.size
+    for mask, members in classes.items():
+        partner = reverse_complement_mask(poset.n, mask)
+        targets = classes.get(partner, [])
+        if len(targets) != len(members):
+            raise RuntimeError(
+                f"descent classes of masks {mask:#b} and {partner:#b} "
+                f"have sizes {len(members)} and {len(targets)} for n={poset.n}"
+            )
+        for source, target in zip(members, targets):
+            mapping[source] = target
+    return tuple(mapping)
+
+
+def check_self_duality(n: int) -> VerificationReport:
+    """Construct the reverse-complement pairing on the descent poset and
+    test order reversal over all ordered element pairs.
+
+    i <= j must hold exactly when mapping[j] <= mapping[i], so up-row i
+    must equal the set of j whose image lies below mapping[i].  In the
+    descent poset mapping[j] <= x holds exactly when the descent set of
+    mapping[j] lies properly inside that of x, or mapping[j] is x; the
+    first set is one entry of properly_inside over the image descent
+    sets, so no comparable pair is listed.
+    """
+    start = time.perf_counter()
+    poset = build_descent_poset(n)
+    violations: list[str] = []
+    try:
+        mapping = construct_antiautomorphism(poset)
+    except RuntimeError as exc:
+        return VerificationReport(
+            "selfdual", n, 0, (str(exc),), time.perf_counter() - start
+        )
+    if any(mapping[j] != i for i, j in enumerate(mapping)):
+        violations.append("pairing is not an involution")
+    masks = _descent_masks(n)
+    inside = properly_inside([masks[image] for image in mapping], n - 1)
+    preimage = [0] * poset.size
+    for j, image in enumerate(mapping):
+        preimage[image] |= 1 << j
+    for i, image in enumerate(mapping):
+        # every j with mapping[j] <= image
+        image_below = inside[masks[image]] | preimage[image]
+        for j in iter_bits(poset.leq_rows[i] ^ image_below):
+            note_violation(
+                violations,
+                f"({poset.label(i)}, {poset.label(j)}) breaks order reversal",
+            )
+    return VerificationReport(
+        "selfdual", n, poset.size**2, tuple(violations), time.perf_counter() - start
+    )
 
 
 def _is_unimodal(seq: Sequence[int]) -> bool:
@@ -157,21 +345,18 @@ def check_sperner_suite(n: int) -> list[VerificationReport]:
         q_index[perm_to_ncp(p_poset.elements[i]).blocks]
         for i in max_antichain_elements(p_poset)
     ]
-    examined = 0
-    for position, a in enumerate(mapped):
-        for b in mapped[position + 1 :]:
-            examined += 1
-            # a != b here since the pulled-back images are distinct
-            if q_poset.leq(a, b) or q_poset.leq(b, a):
-                note_violation(
-                    violations,
-                    f"images {q_poset.label(a)} and {q_poset.label(b)} are comparable",
-                )
+    chosen = sum(1 << a for a in mapped)  # the images are distinct: an OR
+    for a in mapped:
+        for b in iter_bits(q_poset.leq_rows[a] & chosen & ~(1 << a)):
+            note_violation(
+                violations,
+                f"images {q_poset.label(a)} and {q_poset.label(b)} are comparable",
+            )
     reports.append(
         VerificationReport(
             "sperner-transfer",
             transfer_n,
-            examined,
+            len(mapped) * (len(mapped) - 1) // 2,
             tuple(violations),
             time.perf_counter() - start,
         )
@@ -190,17 +375,16 @@ CHECKS = {
 }
 
 
-def run_checks(
-    names: Sequence[str], n: int, clamp: bool = False
-) -> list[VerificationReport]:
+def run_checks(names: Sequence[str], n: int) -> list[VerificationReport]:
     """Run named checks at ground size n.
 
-    With clamp=False a request beyond a check's cap raises a capacity
-    error; with clamp=True (the "all" suite) each check runs at the
-    largest size it supports, at most n.
+    A named check asked for beyond its cap raises a capacity error.  With
+    "all" among the names, every check runs instead, in CHECKS order, each
+    at the largest size it supports, at most n.
     """
+    clamp = "all" in names
     reports: list[VerificationReport] = []
-    for name in names:
+    for name in CHECKS if clamp else names:
         check = CHECKS.get(name)
         if check is None:
             raise ValueError(f"unknown check {name!r}")

@@ -12,8 +12,6 @@ from catalan_posets.antichains import (
 )
 from catalan_posets.bijection import image_descent_mask, ncp_to_perm, perm_to_ncp
 from catalan_posets.census import build_census, count_by_descent_set
-from catalan_posets.counting import catalan, narayana
-from catalan_posets.duality import check_self_duality
 from catalan_posets.partitions import SetPartition, enumerate_ncp, parse_partition
 from catalan_posets.permutations import (
     descent_mask,
@@ -25,7 +23,12 @@ from catalan_posets.poset import (
     build_refinement_poset,
     poset_to_dot,
 )
-from catalan_posets.verify import check_coarsening
+from catalan_posets.verify import (
+    catalan,
+    check_coarsening,
+    check_self_duality,
+    narayana,
+)
 
 SIZE_FOUR_LABELS = {
     "1234", "2134", "2314", "2341", "3124", "3214", "3241",

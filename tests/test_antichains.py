@@ -13,8 +13,8 @@ from catalan_posets.antichains import (
     max_antichain_elements,
     max_k_antichain_union,
 )
-from catalan_posets.counting import narayana
 from catalan_posets.poset import GradedPoset, build_descent_poset, build_refinement_poset
+from catalan_posets.verify import narayana
 
 
 def both_posets(n):

@@ -6,7 +6,6 @@ import pytest
 import support
 from catalan_posets import verify
 from catalan_posets.census import build_census, census_to_csv, count_by_descent_set
-from catalan_posets.counting import catalan
 from catalan_posets.census import _backward, _forward
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.permutations import (
@@ -14,6 +13,7 @@ from catalan_posets.permutations import (
     enumerate_av132,
     reverse_complement_mask,
 )
+from catalan_posets.verify import catalan
 
 
 def test_census_matches_symmetric_group_filter():
@@ -157,7 +157,7 @@ def test_count_noncrossing_by_minima_matches_enumeration():
 
 
 def test_descent_count_distribution_is_narayana():
-    from catalan_posets.counting import narayana
+    from catalan_posets.verify import narayana
 
     for n in range(1, 11):
         by_count = [0] * n

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from catalan_posets.counting import catalan, narayana
+from catalan_posets.verify import catalan, narayana
 
 # Catalan numbers 1..12, cross-checked below against the closed form.
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]

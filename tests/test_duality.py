@@ -3,17 +3,18 @@ import dataclasses
 import pytest
 
 import support
-from catalan_posets import duality, reports
-from catalan_posets.counting import catalan
-from catalan_posets.duality import (
-    check_coarsening,
-    check_self_duality,
-    construct_antiautomorphism,
-)
+from catalan_posets import verify
 from catalan_posets.errors import CAPACITY
 from catalan_posets.permutations import descent_mask
 from catalan_posets.poset import build_descent_poset, build_refinement_poset
-from catalan_posets.reports import MAX_VIOLATION_DETAILS, note_violation
+from catalan_posets.verify import (
+    MAX_VIOLATION_DETAILS,
+    catalan,
+    check_coarsening,
+    check_self_duality,
+    construct_antiautomorphism,
+    note_violation,
+)
 
 
 def labels(poset):
@@ -187,7 +188,7 @@ def broken_pairings(poset):
 def test_self_duality_reports_broken_pairings(monkeypatch, n):
     poset = build_descent_poset(n)
     for name, mapping in broken_pairings(poset):
-        monkeypatch.setattr(duality, "construct_antiautomorphism", lambda _p: mapping)
+        monkeypatch.setattr(verify, "construct_antiautomorphism", lambda _p: mapping)
         report = check_self_duality(n)
         assert report.passed is False, name
         assert report.examined == poset.size**2
@@ -200,9 +201,9 @@ def test_self_duality_reports_broken_pairings(monkeypatch, n):
         else:
             assert report.violations[-1] == "further violations omitted"
     # with the cap lifted, every broken pair of every row is compared
-    monkeypatch.setattr(reports, "MAX_VIOLATION_DETAILS", 10**9)
+    monkeypatch.setattr(verify, "MAX_VIOLATION_DETAILS", 10**9)
     for _name, mapping in broken_pairings(poset):
-        monkeypatch.setattr(duality, "construct_antiautomorphism", lambda _p: mapping)
+        monkeypatch.setattr(verify, "construct_antiautomorphism", lambda _p: mapping)
         expected = pairwise_self_duality_violations(poset, mapping)
         assert check_self_duality(n).violations == expected
 
@@ -222,7 +223,7 @@ def test_self_duality_reports_a_flipped_order_bit(monkeypatch, n):
     rows = list(true.leq_rows)
     rows[i] ^= 1 << j
     broken = dataclasses.replace(true, leq_rows=tuple(rows))
-    monkeypatch.setattr(duality, "build_descent_poset", lambda _n: broken)
+    monkeypatch.setattr(verify, "build_descent_poset", lambda _n: broken)
     report = check_self_duality(n)
     assert report.passed is False
     assert report.examined == true.size**2
@@ -233,7 +234,7 @@ def test_self_duality_reports_a_flipped_order_bit(monkeypatch, n):
 
 def pairwise_coarsening_violations(n):
     q_poset = build_refinement_poset(n)
-    fmask = [duality.image_descent_mask(q) for q in q_poset.elements]
+    fmask = [verify.image_descent_mask(q) for q in q_poset.elements]
     violations = []
     for a, b in support.strict_pairs(q_poset):
         if fmask[b] == fmask[a] or fmask[b] & fmask[a] != fmask[b]:
@@ -254,18 +255,18 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("name", CORRUPTIONS)
 def test_coarsening_reports_corrupted_descent_sets(monkeypatch, name):
-    true_mask = duality.image_descent_mask
+    true_mask = verify.image_descent_mask
 
     def fake(q):
         return CORRUPTIONS[name](q.n, true_mask(q))
 
-    monkeypatch.setattr(duality, "image_descent_mask", fake)
+    monkeypatch.setattr(verify, "image_descent_mask", fake)
     for n in (3, 5, 6):
         report = check_coarsening(n)
         assert report.passed is False, name
         assert report.examined == len(support.strict_pairs(build_refinement_poset(n)))
         assert report.violations == pairwise_coarsening_violations(n)
         assert len(report.violations) <= MAX_VIOLATION_DETAILS + 1
-    monkeypatch.setattr(reports, "MAX_VIOLATION_DETAILS", 10**9)
+    monkeypatch.setattr(verify, "MAX_VIOLATION_DETAILS", 10**9)
     for n in (3, 5, 6):
         assert check_coarsening(n).violations == pairwise_coarsening_violations(n)

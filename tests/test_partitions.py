@@ -6,7 +6,6 @@ import pytest
 
 import support
 from catalan_posets.bijection import ncp_to_perm, perm_to_ncp
-from catalan_posets.counting import catalan
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.partitions import (
     SetPartition,
@@ -16,6 +15,7 @@ from catalan_posets.partitions import (
     parse_partition,
 )
 from catalan_posets.permutations import enumerate_av132
+from catalan_posets.verify import catalan
 
 
 def test_from_blocks_canonicalizes():

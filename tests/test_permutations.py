@@ -7,7 +7,6 @@ import support
 from catalan_posets import permutations as permutations_module
 from catalan_posets.bijection import perm_to_ncp
 from catalan_posets.cli import main
-from catalan_posets.counting import catalan
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.permutations import (
     _av132_sorted,
@@ -19,6 +18,7 @@ from catalan_posets.permutations import (
     parse_permutation,
 )
 from catalan_posets.poset import build_descent_poset
+from catalan_posets.verify import catalan
 
 
 def test_check_permutation_accepts_valid():

@@ -8,7 +8,6 @@ import pytest
 import support
 from catalan_posets.bijection import ncp_to_perm
 from catalan_posets.cli import main
-from catalan_posets.counting import narayana
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.partitions import enumerate_ncp, format_partition
 from catalan_posets.permutations import descent_mask, enumerate_av132, format_permutation
@@ -19,6 +18,7 @@ from catalan_posets.poset import (
     poset_to_dot,
     poset_to_json,
 )
+from catalan_posets.verify import narayana
 
 SIZE_FOUR_LABELS = {
     "1234",

@@ -1,6 +1,7 @@
 """Each ``$ catalan-posets ...`` line of README.md's ``sh`` blocks, run
 through the CLI; the lines under it are its stdout (the first N with
-``| head -N``).  Commands that write to ``--output`` are left out."""
+``| head -N``).  Commands that write to ``--output`` are left out.  The
+caps in README's check table are compared with CAPACITY."""
 
 import re
 import shlex
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from catalan_posets.cli import main
+from catalan_posets.errors import CAPACITY
+from catalan_posets.verify import CHECKS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 EXAMPLES = [
@@ -17,6 +20,11 @@ EXAMPLES = [
     for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]
     if "--output" not in chunk.splitlines()[0]
 ]
+# check name -> (cap column, statement column) of the check table
+CHECK_TABLE = {
+    name: (int(cap), statement)
+    for name, cap, statement in re.findall(r"^\| (\w+) +\| (\d+) +\| (.*) \|$", README, re.M)
+}
 
 
 @pytest.mark.parametrize("example", EXAMPLES, ids=lambda example: example[0])
@@ -28,3 +36,16 @@ def test_readme_example(capsys, example):
     if head:
         out = "".join(out.splitlines(keepends=True)[: int(head)])
     assert out == "".join(line + "\n" for line in example[1:])
+
+
+def test_check_table_caps_are_the_capacity_table():
+    caps = {name: cap for name, (cap, _) in CHECK_TABLE.items()}
+    assert caps == {name: CAPACITY["check " + name] for name in CHECKS}
+    sperner, lemma = CHECK_TABLE["sperner"][1], CHECK_TABLE["lemma"][1]
+    assert re.findall(r"\(to (\d+)\)", sperner) == [
+        str(CAPACITY["sperner-dk"]),
+        str(CAPACITY["sperner-transfer"]),
+    ]
+    assert re.findall(r"through (\d+)", lemma) == [
+        str(CAPACITY["lemma recursion agreement"])
+    ]

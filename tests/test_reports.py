@@ -1,4 +1,4 @@
-from catalan_posets.reports import (
+from catalan_posets.verify import (
     MAX_VIOLATION_DETAILS,
     VerificationReport,
     note_violation,

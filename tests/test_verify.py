@@ -1,11 +1,14 @@
+import dataclasses
+
 import pytest
 
 from catalan_posets import verify
-from catalan_posets.counting import catalan
+from catalan_posets.antichains import max_antichain
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.poset import build_descent_poset, build_refinement_poset
 from catalan_posets.verify import (
     CHECKS,
+    catalan,
     check_census_symmetry,
     check_rank_statistics,
     check_sperner_suite,
@@ -74,6 +77,24 @@ def test_sperner_suite_structure():
     assert transfer.examined == 175 * 174 // 2
 
 
+def test_sperner_lines_fail_on_a_cut_loose_bottom(monkeypatch):
+    # every comparability of P5's bottom element dropped: the poset stays
+    # graded with the same rank sizes, but the bottom joins a largest rank
+    true = build_descent_poset(5)
+    assert true.label(0) == "12345" and true.rank_sizes() == (1, 10, 20, 10, 1)
+    rows = (1,) + true.leq_rows[1:]
+    broken = dataclasses.replace(true, leq_rows=rows, cover_rows=(0,) + true.cover_rows[1:])
+    assert max_antichain(broken) == 21
+    monkeypatch.setattr(verify, "build_descent_poset", lambda _n: broken)
+    reports = check_sperner_suite(5)
+    assert [(r.name, r.passed) for r in reports] == [
+        ("sperner-width", False),
+        ("sperner-dk", False),
+        ("sperner-transfer", False),
+    ]
+    assert reports[0].violations == ("width 21 != largest rank size 20",)
+
+
 def test_run_checks_each_name_at_small_size():
     reports = run_checks(tuple(CHECKS), 5)
     # sperner expands to three reports
@@ -82,8 +103,20 @@ def test_run_checks_each_name_at_small_size():
 
 
 def test_run_checks_clamps_when_asked():
-    reports = run_checks(("selfdual",), 12, clamp=True)
-    assert reports[0].n == CAPACITY["check selfdual"]
+    # "all" runs every check, each clamped to its cap; other names are ignored
+    reports = run_checks(("all",), 12)
+    assert isinstance(reports, list)
+    assert [(r.name, r.n) for r in reports] == [
+        ("coarsening", CAPACITY["check coarsening"]),
+        ("ranks", CAPACITY["check ranks"]),
+        ("lemma", 12),
+        ("selfdual", CAPACITY["check selfdual"]),
+        ("sperner-width", CAPACITY["check sperner"]),
+        ("sperner-dk", CAPACITY["sperner-dk"]),
+        ("sperner-transfer", CAPACITY["sperner-transfer"]),
+    ]
+    lines = [r.summary_line() for r in run_checks(("all",), 5)]
+    assert [r.summary_line() for r in run_checks(("ranks", "all"), 5)] == lines
 
 
 def test_run_checks_rejects_over_cap_without_clamp():
