@@ -82,8 +82,9 @@ def test_sperner_lines_fail_on_a_cut_loose_bottom(monkeypatch):
     # graded with the same rank sizes, but the bottom joins a largest rank
     true = build_descent_poset(5)
     assert true.label(0) == "12345" and true.rank_sizes() == (1, 10, 20, 10, 1)
-    rows = (1,) + true.leq_rows[1:]
-    broken = dataclasses.replace(true, leq_rows=rows, cover_rows=(0,) + true.cover_rows[1:])
+    broken = dataclasses.replace(
+        true, leq_rows=(1,) + true.leq_rows[1:], cover_rows=(0,) + true.cover_rows[1:]
+    )
     assert max_antichain(broken) == 21
     monkeypatch.setattr(verify, "build_descent_poset", lambda _n: broken)
     reports = check_sperner_suite(5)
