@@ -18,8 +18,8 @@ check that against the chain-side flow oracle in tests/support.py.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .poset import GradedPoset, iter_bits
 
@@ -28,21 +28,36 @@ def _strict_rows(poset: GradedPoset) -> list[int]:
     return [poset.leq_rows[i] & ~(1 << i) for i in range(poset.size)]
 
 
-def hopcroft_karp(adjacency: Sequence[int], right_size: int) -> tuple[list[int], list[int]]:
+def hopcroft_karp(
+    adjacency: Sequence[int], right_size: int, start: Sequence[int] | None = None
+) -> tuple[list[int], list[int]]:
     """Maximum matching in a bipartite graph; adjacency[u] is a bitmask of
     right-side neighbors.  Returns (match_left, match_right), -1 meaning
     unmatched.
 
-    Each phase grows alternating layers from the free left vertices as
-    bit rows, so a right vertex enters at most one layer, then takes a
-    maximal set of vertex-disjoint shortest augmenting paths by
-    depth-first search on an explicit stack.
+    start, if given, is a matching to grow, in the form of match_left;
+    each of its pairs must be an edge, and no right vertex may be taken
+    twice.  A greedy pass matches the left vertices it leaves free to
+    right vertices still free.  Each phase then grows alternating layers
+    from the free left vertices as bit rows, so a right vertex enters at
+    most one layer, then takes a maximal set of vertex-disjoint shortest
+    augmenting paths by depth-first search on an explicit stack.
     """
     left_size = len(adjacency)
-    match_left = [-1] * left_size
+    match_left = [-1] * left_size if start is None else list(start)
+    if len(match_left) != left_size:
+        raise ValueError("starting matching does not fit the left side")
     match_right = [-1] * right_size
     free_right = (1 << right_size) - 1
+    for u, v in enumerate(match_left):
+        if v != -1:
+            if not adjacency[u] >> v & 1 or match_right[v] != -1:
+                raise ValueError(f"starting pair ({u}, {v}) is not a matching edge")
+            match_right[v] = u
+            free_right ^= 1 << v
     for u, row in enumerate(adjacency):
+        if match_left[u] != -1:
+            continue
         hit = row & free_right
         if hit:
             low = hit & -hit
@@ -97,9 +112,12 @@ def hopcroft_karp(adjacency: Sequence[int], right_size: int) -> tuple[list[int],
                 break
 
 
-def _certified_antichain(strict: Sequence[int]) -> tuple[int, ...]:
+def _certified_antichain(
+    strict: Sequence[int], start: Sequence[int] | None = None
+) -> tuple[tuple[int, ...], list[int]]:
     """Indices of one maximum antichain of the order whose strict rows
-    are given (strict[x] is the bitmask of elements above x).
+    are given (strict[x] is the bitmask of elements above x), and the
+    maximum matching it came from, grown from start by hopcroft_karp.
 
     The alternating search from unmatched chain starts splits the split
     graph into reachable and unreachable sides; elements whose left copy
@@ -108,7 +126,7 @@ def _certified_antichain(strict: Sequence[int]) -> tuple[int, ...]:
     re-checked before returning.
     """
     size = len(strict)
-    match_left, match_right = hopcroft_karp(strict, size)
+    match_left, match_right = hopcroft_karp(strict, size, start)
     # one chain of the minimum cover starts at each unmatched left copy
     frontier = [u for u in range(size) if match_left[u] == -1]
     target = len(frontier)
@@ -132,12 +150,12 @@ def _certified_antichain(strict: Sequence[int]) -> tuple[int, ...]:
     for x in antichain:
         if strict[x] & chosen:
             raise RuntimeError("selected elements are not pairwise incomparable")
-    return antichain
+    return antichain, match_left
 
 
 def max_antichain_elements(poset: GradedPoset) -> tuple[int, ...]:
     """Indices of one maximum antichain, certified by _certified_antichain."""
-    return _certified_antichain(_strict_rows(poset))
+    return _certified_antichain(_strict_rows(poset))[0]
 
 
 def max_antichain(poset: GradedPoset) -> int:
@@ -159,8 +177,9 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
     Entry sums give the most elements coverable by 1, 2, ... disjoint
     chains; the whole profile is a partition of the element count.  It is
     the conjugate of the increments a_k - a_(k-1), where a_k, the largest
-    union of k antichains, is the width of P x C_k from hopcroft_karp
-    with its antichain certificate re-checked, for k = 1, 2, ... until
+    union of k antichains, is the width of P x C_k from hopcroft_karp,
+    started from the matching of P x C_(k-1), with its antichain
+    certificate re-checked, for k = 1, 2, ... until
     a_k is the element count or an increment is 1 (all later ones are
     then 1).  The ranks must grade the order (checked first).
 
@@ -181,8 +200,10 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
         )
     # bit block b of P x C_k holds a copy of P that lies below blocks
     # 0 .. b - 1; each k adds a block at the bottom, so the rows of the
-    # blocks already built stay as they are
+    # blocks already built stay as they are, and so does their matching,
+    # which the next k grows with the new block's rows unmatched
     product: list[int] = []
+    matching: list[int] = []
     above = [0] * size  # per x: the built blocks' elements above x's copy in the next
     increments: list[int] = []
     union = 0
@@ -190,7 +211,8 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
         offset = len(product)
         product.extend(up | row << offset for up, row in zip(above, strict))
         above = [up | row << offset for up, row in zip(above, poset.leq_rows)]
-        width = len(_certified_antichain(product))
+        antichain, matching = _certified_antichain(product, matching + [-1] * size)
+        width = len(antichain)
         gain = width - union
         if gain <= 0 or (increments and gain > increments[-1]):
             raise RuntimeError("k-antichain increments are not a nonincreasing partition")

@@ -13,7 +13,7 @@ that also rejects input outside its family.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .partitions import SetPartition
 from .permutations import check_permutation

@@ -22,8 +22,6 @@ kept.  The lemma check compares both with a tally over the enumeration.
 
 from __future__ import annotations
 
-import csv
-import io
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
@@ -113,6 +111,11 @@ def _backward(bits: int, width: int, ones: int) -> tuple[int, ...]:
 def census_to_csv(n: int) -> str:
     """Render the census as CSV with columns descent_set, size, count.
 
+    Lines end in a bare newline.  A field is quoted exactly when it holds
+    a comma, as csv.writer's QUOTE_MINIMAL does for this text: only a
+    descent set with two or more positions has one, and no field holds a
+    quote, so none needs escaping.
+
     >>> print(census_to_csv(3), end="")
     descent_set_text,size,count
     {},0,1
@@ -120,10 +123,10 @@ def census_to_csv(n: int) -> str:
     {2},1,1
     "{1,2}",2,1
     """
-    counts = build_census(n)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["descent_set_text", "size", "count"])
-    for mask, count in enumerate(counts):
-        writer.writerow([format_descent_set(mask), mask.bit_count(), count])
-    return buffer.getvalue()
+    lines = ["descent_set_text,size,count\n"]
+    for mask, count in enumerate(build_census(n)):
+        text = format_descent_set(mask)
+        if "," in text:
+            text = f'"{text}"'
+        lines.append(f"{text},{mask.bit_count()},{count}\n")
+    return "".join(lines)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from itertools import islice
-from typing import Iterable, Sequence
 
 from .bijection import ncp_to_perm, perm_to_ncp
 from .census import census_to_csv
@@ -43,7 +43,12 @@ def _parse_checks(text: str) -> tuple[str, ...]:
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        ) from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
     return value

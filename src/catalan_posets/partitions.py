@@ -9,18 +9,17 @@ noncrossing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
-from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import check_capacity
 
 #: A block as the enumeration builds it: a tuple of elements, or its text.
-_Block = TypeVar("_Block", tuple[int, ...], str)
+_Block = tuple[int, ...] | str
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(namedtuple("SetPartition", "n blocks")):
     """A partition of {1, ..., n} stored in canonical form.
 
     The constructor insists on canonical form; use from_blocks to build one
@@ -33,15 +32,14 @@ class SetPartition:
     8
     """
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        seen = bytearray(self.n)
+    def __new__(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> SetPartition:
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
+        seen = bytearray(n)
         previous_min = 0
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("empty block")
             # an equal minimum is a repeated element, named by the loop below
@@ -50,8 +48,8 @@ class SetPartition:
             previous_min = block[0]
             last = 0
             for x in block:
-                if not isinstance(x, int) or not 1 <= x <= self.n:
-                    raise ValueError(f"element {x!r} outside 1..{self.n}")
+                if not isinstance(x, int) or not 1 <= x <= n:
+                    raise ValueError(f"element {x!r} outside 1..{n}")
                 if x <= last:
                     raise ValueError(f"block {block} is not strictly increasing")
                 last = x
@@ -59,7 +57,8 @@ class SetPartition:
                     raise ValueError(f"element {x} appears in two blocks")
                 seen[x - 1] = 1
         if 0 in seen:
-            raise ValueError(f"blocks do not cover 1..{self.n}")
+            raise ValueError(f"blocks do not cover 1..{n}")
+        return tuple.__new__(cls, (n, blocks))
 
     @classmethod
     def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> SetPartition:
@@ -68,11 +67,12 @@ class SetPartition:
         Only for producers that build canonical blocks by construction:
         enumerate_ncp and bijection.perm_to_ncp.
         """
-        self = object.__new__(cls)
-        fields = self.__dict__
-        fields["n"] = n
-        fields["blocks"] = blocks
-        return self
+        return tuple.__new__(cls, (n, blocks))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> SetPartition:
+        # namedtuple's _make and _replace build through here: validated
+        return cls(*fields)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> SetPartition:

@@ -9,13 +9,13 @@ sets are int masks, with bit i-1 set when position i is a descent.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import check_capacity
 
 #: A permutation or prefix as the enumeration builds it: a tuple, or its text.
-_Entry = TypeVar("_Entry", tuple[int, ...], str)
+_Entry = tuple[int, ...] | str
 
 
 def check_permutation(entries: Sequence[int]) -> tuple[int, ...]:

@@ -16,11 +16,10 @@ dictionary lookup.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 from .errors import check_capacity
 from .partitions import SetPartition, enumerate_ncp, format_partition
@@ -59,20 +58,16 @@ def properly_inside(masks: Sequence[int], width: int) -> list[int]:
     return [whole ^ own for whole, own in zip(inside, fiber)]
 
 
-@dataclass(frozen=True)
-class GradedPoset:
+class GradedPoset(
+    namedtuple("GradedPoset", "family n elements ranks leq_rows cover_rows")
+):
     """A finite graded poset over a fixed tuple of elements.
 
     leq_rows[i] has bit j set when element i is below-or-equal element j;
     cover_rows[i] has bit j set when j covers i.
     """
 
-    family: str
-    n: int
-    elements: tuple
-    ranks: tuple[int, ...]
-    leq_rows: tuple[int, ...]
-    cover_rows: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -206,13 +201,16 @@ def iter_poset_json(poset: GradedPoset) -> Iterator[str]:
 
     The layout is that of ``json.dumps(payload, indent=2)`` with keys n,
     family, elements, ranks and covers, written without the encoder so
-    that no cover pair becomes a Python list.
+    that no cover pair becomes a Python list.  Each label and the family
+    is quoted as '"' + text + '"': labels hold only digits, commas, braces
+    and slashes, and families only letters, none of which json.dumps
+    escapes.
     """
-    labels = ",\n    ".join(json.dumps(poset.label(i)) for i in range(poset.size))
+    labels = '",\n    "'.join(poset.label(i) for i in range(poset.size))
     ranks = ",\n    ".join(map(str, poset.rank_sizes()))
     yield (
-        f'{{\n  "n": {poset.n},\n  "family": {json.dumps(poset.family)},\n'
-        f'  "elements": [\n    {labels}\n  ],\n'
+        f'{{\n  "n": {poset.n},\n  "family": "{poset.family}",\n'
+        f'  "elements": [\n    "{labels}"\n  ],\n'
         f'  "ranks": [\n    {ranks}\n  ],\n'
     )
     if not any(poset.cover_rows):

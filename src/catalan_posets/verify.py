@@ -19,10 +19,10 @@ one entry.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
 from math import comb
-from typing import Sequence
 
 from .antichains import check_k_sperner, max_antichain, max_antichain_elements
 from .bijection import image_descent_mask, perm_to_ncp
@@ -49,8 +49,13 @@ from .poset import (
 MAX_VIOLATION_DETAILS = 5
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "name n examined violations elapsed",
+        defaults=((), 0.0),
+    )
+):
     """Outcome of one check at one ground size.
 
     examined counts the pairs or subsets actually tested.  Wall time is
@@ -58,11 +63,7 @@ class VerificationReport:
     the line is reproducible byte for byte.
     """
 
-    name: str
-    n: int
-    examined: int
-    violations: tuple[str, ...] = ()
-    elapsed: float = 0.0
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -7,6 +7,8 @@ time.  Slow is fine; these run at small sizes.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -220,6 +222,19 @@ def reference_poset_json(poset) -> str:
         "covers": [[i, j] for i, j in poset.covers()],
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_census_csv(n: int, counts: Sequence[int]) -> str:
+    """The census CSV through csv.writer, with its default QUOTE_MINIMAL
+    quoting and bare newlines; counts[mask] is the count of that mask."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["descent_set_text", "size", "count"])
+    for mask, count in enumerate(counts):
+        positions = [str(i) for i in range(1, n) if mask >> (i - 1) & 1]
+        text = "{" + ",".join(positions) + "}"
+        writer.writerow([text, len(positions), count])
+    return buffer.getvalue()
 
 
 def reference_poset_dot(poset) -> str:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 
@@ -38,9 +37,9 @@ def path_graph(size):
     return [(1 << u) | (1 << (u + 1)) for u in range(size - 1)] + [1]
 
 
-def checked_matching_size(adjacency, right_size):
+def checked_matching_size(adjacency, right_size, start=None):
     """Size of hopcroft_karp's matching after checking it edge by edge."""
-    match_left, match_right = hopcroft_karp(adjacency, right_size)
+    match_left, match_right = hopcroft_karp(adjacency, right_size, start)
     size = 0
     for u, v in enumerate(match_left):
         if v != -1:
@@ -93,6 +92,28 @@ def test_matching_size_agrees_with_networkx():
         )
         expected = len(nx.bipartite.hopcroft_karp_matching(graph, top_nodes=left)) // 2
         assert checked_matching_size(adjacency, right_size) == expected
+
+
+def test_hopcroft_karp_grows_any_starting_matching_to_a_maximum():
+    rng = random.Random(17)
+    for adjacency, right_size in bipartite_inputs():
+        # a random part of a maximum matching, as a warm start
+        best, _ = hopcroft_karp(adjacency, right_size)
+        start = [v if rng.random() < 0.5 else -1 for v in best]
+        size = checked_matching_size(adjacency, right_size, start)
+        assert size == sum(1 for v in best if v != -1)
+        # augmenting paths keep every matched left vertex matched
+        grown, _ = hopcroft_karp(adjacency, right_size, start)
+        assert all(g != -1 for s, g in zip(start, grown) if s != -1)
+
+
+def test_hopcroft_karp_rejects_a_start_that_is_not_a_matching():
+    adjacency = [0b01, 0b11]
+    for start in ([1, -1], [0, 0], [-1], [-1, -1, -1]):
+        with pytest.raises(ValueError):
+            hopcroft_karp(adjacency, 2, start)
+    # the one augmenting path re-routes the starting pair
+    assert hopcroft_karp(adjacency, 2, [-1, 0]) == ([0, 1], [0, 1])
 
 
 def test_width_matches_subset_bruteforce():
@@ -194,10 +215,10 @@ def test_profile_rejects_ranks_that_do_not_grade_the_order():
     chain_rows = (0b001, 0b011, 0b111)
     chain_covers = (0, 0b001, 0b010)
     upside_down = GradedPoset("chain", 3, (0, 1, 2), (0, 1, 2), chain_rows, chain_covers)
-    for poset in dataclasses.replace(p4, ranks=reversed_ranks), upside_down:
+    for poset in p4._replace(ranks=reversed_ranks), upside_down:
         with pytest.raises(ValueError, match="ranks do not grade the order"):
             chain_cover_profile(poset)
-    assert chain_cover_profile(dataclasses.replace(upside_down, ranks=(2, 1, 0))) == (3,)
+    assert chain_cover_profile(upside_down._replace(ranks=(2, 1, 0))) == (3,)
 
 
 def test_chain_union_sums_match_maximal_chain_bruteforce():

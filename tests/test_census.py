@@ -210,6 +210,12 @@ def test_csv_rows_spell_out_each_mask():
             assert line == f"{text},{len(positions)},{counts[mask]}"
 
 
+def test_csv_matches_the_csv_module_writer():
+    # the hand-quoted lines against csv.writer, byte for byte
+    for n in range(1, 15):
+        assert census_to_csv(n) == support.reference_census_csv(n, build_census(n))
+
+
 def test_lemma_failure_prints_positions_in_braces(monkeypatch):
     n = 12
     mask = 0b11 << 9  # positions {10,11}

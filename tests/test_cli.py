@@ -258,6 +258,19 @@ def test_negative_limit_is_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
+def test_non_numeric_limit_is_usage_error_that_names_no_private_function(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["enumerate", "av132", "--n", "3", "--limit", "x"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.endswith(
+        "error: argument --limit: expected a non-negative integer, got 'x'"
+    )
+    assert "_nonnegative_int" not in captured.err
+
+
 def test_stdout_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify", "--n", "5")
     _, second, _ = run_cli(capsys, "verify", "--n", "5")

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 import support
@@ -222,7 +220,7 @@ def test_self_duality_reports_a_flipped_order_bit(monkeypatch, n):
     )
     rows = list(true.leq_rows)
     rows[i] ^= 1 << j
-    broken = dataclasses.replace(true, leq_rows=tuple(rows))
+    broken = true._replace(leq_rows=tuple(rows))
     monkeypatch.setattr(verify, "build_descent_poset", lambda _n: broken)
     report = check_self_duality(n)
     assert report.passed is False

@@ -1,4 +1,6 @@
-"""The package holds no public name that only the tests use.
+"""The package holds no public name that only the tests use, and its
+import loads no standard module that it only needs for annotations,
+record classes or quoting.
 
 A public module-level function, class or constant of a module in
 ``src/catalan_posets`` must be referenced by other code in ``src``, by
@@ -9,6 +11,8 @@ not count, and neither does a definition's use of its own name.
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,3 +87,23 @@ def test_names_are_read_from_code_not_from_docstrings():
 
 def test_every_public_name_in_src_has_a_user_outside_the_tests():
     assert unreferenced_public_names() == []
+
+
+#: Standard modules that cost start-up time and that the package has no
+#: use for at run time; pytest loads them itself, hence the subprocess.
+UNWANTED_MODULES = ("typing", "dataclasses", "inspect", "json", "csv")
+
+
+def test_import_loads_no_unwanted_standard_module():
+    probe = (
+        "import catalan_posets, catalan_posets.cli, sys; "
+        f"print(*sorted(set({UNWANTED_MODULES!r}) & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        cwd=ROOT / "src",
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == []

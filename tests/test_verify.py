@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from catalan_posets import verify
@@ -82,8 +80,8 @@ def test_sperner_lines_fail_on_a_cut_loose_bottom(monkeypatch):
     # graded with the same rank sizes, but the bottom joins a largest rank
     true = build_descent_poset(5)
     assert true.label(0) == "12345" and true.rank_sizes() == (1, 10, 20, 10, 1)
-    broken = dataclasses.replace(
-        true, leq_rows=(1,) + true.leq_rows[1:], cover_rows=(0,) + true.cover_rows[1:]
+    broken = true._replace(
+        leq_rows=(1,) + true.leq_rows[1:], cover_rows=(0,) + true.cover_rows[1:]
     )
     assert max_antichain(broken) == 21
     monkeypatch.setattr(verify, "build_descent_poset", lambda _n: broken)
