@@ -122,27 +122,28 @@ def _certified_antichain(
     The alternating search from unmatched chain starts splits the split
     graph into reachable and unreachable sides; elements whose left copy
     is reachable and right copy is not form an antichain matching the
-    chain-cover bound, which certifies maximality.  The certificate is
-    re-checked before returning.
+    chain-cover bound, which certifies maximality.  The search is layered
+    by whole rows, as in hopcroft_karp: the strict rows of a frontier of
+    left copies are ORed together, the right copies not yet reached are
+    listed once, and their matched partners form the next frontier.  A
+    matched left copy is reached only through its own right partner, so
+    no left copy enters twice.  The certificate is re-checked before
+    returning.
     """
     size = len(strict)
     match_left, match_right = hopcroft_karp(strict, size, start)
     # one chain of the minimum cover starts at each unmatched left copy
     frontier = [u for u in range(size) if match_left[u] == -1]
     target = len(frontier)
-    reached_left = sum(1 << u for u in frontier)
-    reached_right = 0
+    reached_left = reached_right = 0
     while frontier:
-        fresh_left = []
+        reach = 0
         for u in frontier:
-            fresh = strict[u] & ~reached_right
-            reached_right |= fresh
-            for v in iter_bits(fresh):
-                w = match_right[v]
-                if w != -1 and not reached_left >> w & 1:
-                    reached_left |= 1 << w
-                    fresh_left.append(w)
-        frontier = fresh_left
+            reached_left |= 1 << u
+            reach |= strict[u]
+        reach &= ~reached_right
+        reached_right |= reach
+        frontier = [w for v in iter_bits(reach) if (w := match_right[v]) != -1]
     chosen = reached_left & ~reached_right
     antichain = tuple(iter_bits(chosen))
     if len(antichain) != target:

@@ -196,6 +196,22 @@ def build_refinement_poset(n: int) -> GradedPoset:
     return GradedPoset("Q", n, elements, ranks, tuple(up), cover_rows)
 
 
+def _listed_rows(poset: GradedPoset, names: Sequence[str]) -> Iterator[list[str]]:
+    """Per element, names[j] for each j in its cover row, lowest j first.
+
+    Each distinct row is listed once per call, through a dict keyed by the
+    row's value and dropped when the call ends: whether x < y in P depends
+    only on the descent sets of x and y, so every member of a descent class
+    has the same row (P8's 1,430 rows hold 122 values).
+    """
+    listed: dict[int, list[str]] = {}
+    for row in poset.cover_rows:
+        upper = listed.get(row)
+        if upper is None:
+            upper = listed[row] = [names[j] for j in iter_bits(row)]
+        yield upper
+
+
 def iter_poset_json(poset: GradedPoset) -> Iterator[str]:
     """The JSON document of poset_to_json, one cover row per chunk.
 
@@ -204,7 +220,8 @@ def iter_poset_json(poset: GradedPoset) -> Iterator[str]:
     that no cover pair becomes a Python list.  Each label and the family
     is quoted as '"' + text + '"': labels hold only digits, commas, braces
     and slashes, and families only letters, none of which json.dumps
-    escapes.
+    escapes.  Each distinct cover row's upper indices are listed as text
+    once, by _listed_rows.
     """
     labels = '",\n    "'.join(poset.label(i) for i in range(poset.size))
     ranks = ",\n    ".join(map(str, poset.rank_sizes()))
@@ -218,17 +235,19 @@ def iter_poset_json(poset: GradedPoset) -> Iterator[str]:
         return
     yield '  "covers": [\n'
     separator = ""
-    for i, row in enumerate(poset.cover_rows):
-        if row:
+    indices = [str(j) for j in range(poset.size)]
+    for i, upper in enumerate(_listed_rows(poset, indices)):
+        if upper:
             pair = f"    [\n      {i},\n      "
-            upper = f"\n    ],\n{pair}".join(map(str, iter_bits(row)))
-            yield f"{separator}{pair}{upper}\n    ]"
+            covers = f"\n    ],\n{pair}".join(upper)
+            yield f"{separator}{pair}{covers}\n    ]"
             separator = ",\n"
     yield "\n  ]\n}\n"
 
 
 def iter_poset_dot(poset: GradedPoset) -> Iterator[str]:
-    """The Graphviz text of poset_to_dot, one cover row per chunk."""
+    """The Graphviz text of poset_to_dot, one cover row per chunk; each
+    distinct cover row's upper labels are listed once, by _listed_rows."""
     labels = [poset.label(i) for i in range(poset.size)]
     layers: list[list[str]] = [[] for _ in range(poset.height)]
     for label, r in zip(labels, poset.ranks):
@@ -236,10 +255,10 @@ def iter_poset_dot(poset: GradedPoset) -> Iterator[str]:
     yield f"digraph {poset.family}{poset.n} {{\n  rankdir=BT;\n" + "".join(
         f"  {{ rank=same; {' '.join(layer)} }}\n" for layer in layers
     )
-    for i, row in enumerate(poset.cover_rows):
-        if row:
-            edge = f'  "{labels[i]}" -> "'
-            yield edge + f'";\n{edge}'.join(labels[j] for j in iter_bits(row)) + '";\n'
+    for label, upper in zip(labels, _listed_rows(poset, labels)):
+        if upper:
+            edge = f'  "{label}" -> "'
+            yield edge + f'";\n{edge}'.join(upper) + '";\n'
     yield "}\n"
 
 

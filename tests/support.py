@@ -211,6 +211,12 @@ def reference_refinement_poset(
     return elements, ranks, tuple(up), tuple(cover_rows)
 
 
+def cover_pairs(poset) -> list[tuple[int, int]]:
+    """Every (lower, upper) cover pair, read off cover_rows by this
+    module's iter_bits rather than the package's listing."""
+    return [(i, j) for i, row in enumerate(poset.cover_rows) for j in iter_bits(row)]
+
+
 def reference_poset_json(poset) -> str:
     """The poset's JSON export through the standard encoder: the whole
     payload as Python lists, then json.dumps with indent=2."""
@@ -219,7 +225,7 @@ def reference_poset_json(poset) -> str:
         "family": poset.family,
         "elements": [poset.label(i) for i in range(poset.size)],
         "ranks": list(poset.rank_sizes()),
-        "covers": [[i, j] for i, j in poset.covers()],
+        "covers": [[i, j] for i, j in cover_pairs(poset)],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -246,7 +252,7 @@ def reference_poset_dot(poset) -> str:
             f'"{labels[i]}";' for i in range(poset.size) if poset.ranks[i] == r
         )
         lines.append(f"  {{ rank=same; {members} }}")
-    for i, j in poset.covers():
+    for i, j in cover_pairs(poset):
         lines.append(f'  "{labels[i]}" -> "{labels[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -464,6 +470,33 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def per_vertex_antichain(strict: Sequence[int], match_left: Sequence[int]) -> tuple[int, ...]:
+    """The antichain that a maximum matching of the split graph certifies,
+    by the package's former search: one reached left copy at a time, each
+    listing its own fresh right neighbours.  strict[x] is the bitmask of
+    elements above x and match_left[u] is u's right partner or -1."""
+    size = len(strict)
+    match_right = [-1] * size
+    for u, v in enumerate(match_left):
+        if v != -1:
+            match_right[v] = u
+    frontier = [u for u in range(size) if match_left[u] == -1]
+    reached_left = sum(1 << u for u in frontier)
+    reached_right = 0
+    while frontier:
+        fresh_left = []
+        for u in frontier:
+            fresh = strict[u] & ~reached_right
+            reached_right |= fresh
+            for v in iter_bits(fresh):
+                w = match_right[v]
+                if w != -1 and not reached_left >> w & 1:
+                    reached_left |= 1 << w
+                    fresh_left.append(w)
+        frontier = fresh_left
+    return tuple(iter_bits(reached_left & ~reached_right))
 
 
 def transitive_reduction(

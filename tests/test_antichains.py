@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import support
+from catalan_posets import antichains
 from catalan_posets.antichains import (
     chain_cover_profile,
     check_k_sperner,
@@ -198,6 +199,32 @@ def test_profile_matches_one_path_per_chain_oracle_on_random_posets():
         assert chain_cover_profile.__wrapped__(
             poset
         ) == support.successive_shortest_profile(poset)
+
+
+def test_layered_certificate_matches_per_vertex_oracle(monkeypatch):
+    # every certificate a profile asks for, on the poset and on each
+    # P x C_k, against the one-vertex-at-a-time search on the same matching
+    layered = antichains._certified_antichain
+    checked = []
+
+    def compared(strict, start=None):
+        antichain, match_left = layered(strict, start)
+        assert antichain == support.per_vertex_antichain(strict, match_left)
+        checked.append(len(strict))
+        return antichain, match_left
+
+    monkeypatch.setattr(antichains, "_certified_antichain", compared)
+    rng = random.Random(18)
+    posets = [poset for n in range(1, 9) for poset in both_posets(n)]
+    posets += [
+        random_graded_poset(rng, rng.randint(1, 60), rng.choice((0.03, 0.1, 0.25, 0.5, 0.9)))
+        for _ in range(100)
+    ]
+    for poset in posets:
+        checked.clear()
+        max_antichain(poset)
+        chain_cover_profile.__wrapped__(poset)
+        assert checked[0] == poset.size and checked[1] == poset.size
 
 
 def test_profile_at_eight_is_the_conjugate_of_the_rank_sizes():

@@ -12,6 +12,7 @@ from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.partitions import enumerate_ncp, format_partition
 from catalan_posets.permutations import descent_mask, enumerate_av132, format_permutation
 from catalan_posets.poset import (
+    GradedPoset,
     build_descent_poset,
     build_refinement_poset,
     iter_bits,
@@ -259,6 +260,34 @@ def test_export_matches_reference_writers(tmp_path, capsys, family, n):
         target = tmp_path / f"out.{fmt}"
         assert main([*argv, "--output", str(target)]) == 0
         assert target.read_bytes() == text.encode()
+
+
+def test_export_lists_each_row_by_its_whole_value():
+    # rows 0 and 2 are equal, with a zero row between them; row 3 differs
+    # from them only in its highest bit, which lies past the first 64 bits;
+    # rows 4 and 5 share their highest bit, rows 0, 4 and 5 their popcount,
+    # and rows 0 to 5 their rank
+    size = 70
+    rows = [0] * size
+    rows[0] = rows[2] = 1 << 64 | 1 << 65
+    rows[3] = rows[0] | 1 << 69
+    rows[4] = 1 << 64 | 1 << 69
+    rows[5] = 1 << 65 | 1 << 69
+    ranks = tuple(int(i in (64, 65, 69)) for i in range(size))
+    poset = GradedPoset(
+        family="hand",
+        n=size,
+        elements=tuple((i + 1,) for i in range(size)),
+        ranks=ranks,
+        leq_rows=tuple(row | 1 << i for i, row in enumerate(rows)),
+        cover_rows=tuple(rows),
+    )
+    assert poset_to_json(poset) == support.reference_poset_json(poset)
+    assert poset_to_dot(poset) == support.reference_poset_dot(poset)
+    assert json.loads(poset_to_json(poset))["covers"] == [
+        [0, 64], [0, 65], [2, 64], [2, 65], [3, 64], [3, 65], [3, 69],
+        [4, 64], [4, 69], [5, 65], [5, 69],
+    ]
 
 
 class _Sink:
