@@ -200,6 +200,9 @@ def parse_partition(text: str) -> SetPartition:
     if _PARTITION_TEXT.fullmatch(text) is None:
         bad = next(c for c in text.split("/") if _BLOCK_TEXT.fullmatch(c) is None)
         raise ValueError(f"malformed block text: {bad!r}")
-    return SetPartition.from_blocks(
-        map(int, chunk[1:-1].split(",")) for chunk in text.split("/")
-    )
+    blocks = [chunk[1:-1].split(",") for chunk in text.split("/")]
+    n = sum(map(len, blocks))
+    longest = max(len(number) for block in blocks for number in block)
+    if longest > len(str(n)):  # no leading zeros, so above n
+        raise ValueError(f"element of {longest} digits outside 1..{n}")
+    return SetPartition.from_blocks(map(int, block) for block in blocks)

@@ -187,7 +187,11 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     if _PERMUTATION_TEXT.fullmatch(text) is None:
         raise ValueError(f"malformed permutation text: {text!r}")
     if "," in text:
-        entries = tuple(map(int, text.split(",")))
+        numbers = text.split(",")
+        longest = max(map(len, numbers))
+        if longest > len(str(len(numbers))):  # no leading zeros, so above n
+            raise ValueError(f"entry of {longest} digits outside 1..{len(numbers)}")
+        entries = tuple(map(int, numbers))
     else:
         entries = tuple(map(int, text))
     return check_permutation(entries)

@@ -1,9 +1,10 @@
 """The named verification checks behind the CLI; their caps are in CAPACITY.
 
-Each check is exhaustive at its scale and returns reports whose violation
-lists are expected to be empty.  Caps reflect where exhaustive checking
-stays within interactive budgets; exceeding one raises a capacity error
-rather than silently thinning the check.
+Each check is one or more line functions, each exhaustive at its scale
+and returning one report whose violation list is expected to be empty;
+run_checks times each report line.  Caps reflect where exhaustive
+checking stays within interactive budgets; exceeding one raises a
+capacity error rather than silently thinning the check.
 
 Two checks are order reversals.  Coarsening a noncrossing partition
 strictly shrinks the descent set of its image permutation, so the
@@ -58,9 +59,10 @@ class VerificationReport(
 ):
     """Outcome of one check at one ground size.
 
-    examined counts the pairs or subsets actually tested.  Wall time is
-    carried for diagnostics but deliberately left out of summary_line so
-    the line is reproducible byte for byte.
+    examined counts the pairs or subsets actually tested.  elapsed is the
+    wall time run_checks measured for the line, carried for diagnostics
+    but deliberately left out of summary_line so the line is reproducible
+    byte for byte; a check called directly reports the default 0.0.
     """
 
     __slots__ = ()
@@ -124,7 +126,6 @@ def check_coarsening(n: int) -> VerificationReport:
     of the refinement poset is tested against one entry of properly_inside
     over the image descent sets.
     """
-    start = time.perf_counter()
     q_poset = build_refinement_poset(n)
     fmask = [image_descent_mask(q) for q in q_poset.elements]
     inside = properly_inside(fmask, n - 1)
@@ -139,9 +140,7 @@ def check_coarsening(n: int) -> VerificationReport:
                 f"{q_poset.label(i)} < {q_poset.label(j)}: "
                 f"image descent sets do not properly shrink",
             )
-    return VerificationReport(
-        "coarsening", n, examined, tuple(violations), time.perf_counter() - start
-    )
+    return VerificationReport("coarsening", n, examined, tuple(violations))
 
 
 def construct_antiautomorphism(poset: GradedPoset) -> tuple[int, ...]:
@@ -188,15 +187,12 @@ def check_self_duality(n: int) -> VerificationReport:
     first set is one entry of properly_inside over the image descent
     sets, so no comparable pair is listed.
     """
-    start = time.perf_counter()
     poset = build_descent_poset(n)
     violations: list[str] = []
     try:
         mapping = construct_antiautomorphism(poset)
     except RuntimeError as exc:
-        return VerificationReport(
-            "selfdual", n, 0, (str(exc),), time.perf_counter() - start
-        )
+        return VerificationReport("selfdual", n, 0, (str(exc),))
     if any(mapping[j] != i for i, j in enumerate(mapping)):
         violations.append("pairing is not an involution")
     masks = _descent_masks(n)
@@ -212,9 +208,7 @@ def check_self_duality(n: int) -> VerificationReport:
                 violations,
                 f"({poset.label(i)}, {poset.label(j)}) breaks order reversal",
             )
-    return VerificationReport(
-        "selfdual", n, poset.size**2, tuple(violations), time.perf_counter() - start
-    )
+    return VerificationReport("selfdual", n, poset.size**2, tuple(violations))
 
 
 def _is_unimodal(seq: Sequence[int]) -> bool:
@@ -250,7 +244,6 @@ def check_rank_statistics(n: int) -> VerificationReport:
     either poset: descent-set sizes weighted by the census, and n - #blocks
     over the noncrossing partitions.
     """
-    start = time.perf_counter()
     violations: list[str] = []
     sizes_p = _descent_rank_sizes(n)
     sizes_q = _refinement_rank_sizes(n)
@@ -263,16 +256,13 @@ def check_rank_statistics(n: int) -> VerificationReport:
         note_violation(violations, f"rank sizes {sizes_p} are not palindromic")
     if not _is_unimodal(sizes_p):
         note_violation(violations, f"rank sizes {sizes_p} are not unimodal")
-    return VerificationReport(
-        "ranks", n, 2 * n, tuple(violations), time.perf_counter() - start
-    )
+    return VerificationReport("ranks", n, 2 * n, tuple(violations))
 
 
 def check_census_symmetry(n: int) -> VerificationReport:
     """Census counts are invariant under reverse complement of the descent
     set, and (at recursion scale) the census and the single-mask counter
     both match a tally over the enumeration."""
-    start = time.perf_counter()
     census = build_census(n)
     violations: list[str] = []
     tally = None
@@ -297,87 +287,70 @@ def check_census_symmetry(n: int) -> VerificationReport:
                     )
     if sum(census) != catalan(n):
         note_violation(violations, f"census total {sum(census)} != catalan({n})")
-    return VerificationReport(
-        "lemma", n, len(census), tuple(violations), time.perf_counter() - start
-    )
+    return VerificationReport("lemma", n, len(census), tuple(violations))
 
 
-def check_sperner_suite(n: int) -> list[VerificationReport]:
-    """Three reports: width equals the largest rank size at n; the
-    k-antichain numbers equal top-k rank sums at min(n, 6) for every k;
-    a maximum antichain of the descent poset stays an antichain of the
-    refinement poset after pulling back through the bijection, at
-    min(n, 7)."""
-    reports = []
-
-    start = time.perf_counter()
-    violations: list[str] = []
+def check_sperner_width(n: int) -> VerificationReport:
+    """The width of the descent poset equals its largest rank size."""
     poset = build_descent_poset(n)
     width = max_antichain(poset)
     largest_rank = max(poset.rank_sizes())
+    violations: list[str] = []
     if width != largest_rank:
         note_violation(violations, f"width {width} != largest rank size {largest_rank}")
-    reports.append(
-        VerificationReport(
-            "sperner-width", n, poset.size, tuple(violations), time.perf_counter() - start
-        )
-    )
+    return VerificationReport("sperner-width", n, poset.size, tuple(violations))
 
-    dk_n = min(n, CAPACITY["sperner-dk"])
-    start = time.perf_counter()
-    violations = []
-    dk_poset = build_descent_poset(dk_n)
-    for k in range(1, dk_n + 1):
-        if not check_k_sperner(dk_poset, k):
+
+def check_sperner_dk(n: int) -> VerificationReport:
+    """For every k, the largest union of k antichains of the descent poset
+    meets the top-k rank sum, at the smaller of n and its sub-cap."""
+    n = min(n, CAPACITY["sperner-dk"])
+    poset = build_descent_poset(n)
+    violations: list[str] = []
+    for k in range(1, n + 1):
+        if not check_k_sperner(poset, k):
             note_violation(violations, f"union of {k} antichains misses the top-{k} rank sum")
-    reports.append(
-        VerificationReport(
-            "sperner-dk", dk_n, dk_n, tuple(violations), time.perf_counter() - start
-        )
-    )
+    return VerificationReport("sperner-dk", n, n, tuple(violations))
 
-    transfer_n = min(n, CAPACITY["sperner-transfer"])
-    start = time.perf_counter()
-    violations = []
-    p_poset = build_descent_poset(transfer_n)
-    q_poset = build_refinement_poset(transfer_n)
+
+def check_sperner_transfer(n: int) -> VerificationReport:
+    """A maximum antichain of the descent poset stays an antichain of the
+    refinement poset after pulling back through the bijection, at the
+    smaller of n and its sub-cap; examined counts the image pairs."""
+    n = min(n, CAPACITY["sperner-transfer"])
+    p_poset = build_descent_poset(n)
+    q_poset = build_refinement_poset(n)
     q_index = {q.blocks: i for i, q in enumerate(q_poset.elements)}
     mapped = [
         q_index[perm_to_ncp(p_poset.elements[i]).blocks]
         for i in max_antichain_elements(p_poset)
     ]
     chosen = sum(1 << a for a in mapped)  # the images are distinct: an OR
+    violations: list[str] = []
     for a in mapped:
         for b in iter_bits(q_poset.leq_rows[a] & chosen & ~(1 << a)):
             note_violation(
                 violations,
                 f"images {q_poset.label(a)} and {q_poset.label(b)} are comparable",
             )
-    reports.append(
-        VerificationReport(
-            "sperner-transfer",
-            transfer_n,
-            len(mapped) * (len(mapped) - 1) // 2,
-            tuple(violations),
-            time.perf_counter() - start,
-        )
-    )
-    return reports
+    pairs = len(mapped) * (len(mapped) - 1) // 2
+    return VerificationReport("sperner-transfer", n, pairs, tuple(violations))
 
 
-#: Each named check, in the order the "all" suite runs them; the cap of
-#: check `name` is CAPACITY["check " + name].  sperner yields three reports.
+#: Each named check, in the order the "all" suite runs them, as the tuple
+#: of its line functions, one report line each; the cap of check `name`
+#: is CAPACITY["check " + name].
 CHECKS = {
-    "coarsening": check_coarsening,
-    "ranks": check_rank_statistics,
-    "lemma": check_census_symmetry,
-    "selfdual": check_self_duality,
-    "sperner": check_sperner_suite,
+    "coarsening": (check_coarsening,),
+    "ranks": (check_rank_statistics,),
+    "lemma": (check_census_symmetry,),
+    "selfdual": (check_self_duality,),
+    "sperner": (check_sperner_width, check_sperner_dk, check_sperner_transfer),
 }
 
 
 def run_checks(names: Sequence[str], n: int) -> list[VerificationReport]:
-    """Run named checks at ground size n.
+    """Run named checks at ground size n, timing each report line.
 
     A named check asked for beyond its cap raises a capacity error.  With
     "all" among the names, every check runs instead, in CHECKS order, each
@@ -386,12 +359,14 @@ def run_checks(names: Sequence[str], n: int) -> list[VerificationReport]:
     clamp = "all" in names
     reports: list[VerificationReport] = []
     for name in CHECKS if clamp else names:
-        check = CHECKS.get(name)
-        if check is None:
+        lines = CHECKS.get(name)
+        if lines is None:
             raise ValueError(f"unknown check {name!r}")
         operation = "check " + name
         use = min(n, CAPACITY[operation]) if clamp else n
         check_capacity(operation, use)
-        result = check(use)
-        reports.extend(result if isinstance(result, list) else [result])
+        for line in lines:
+            start = time.perf_counter()
+            report = line(use)
+            reports.append(report._replace(elapsed=time.perf_counter() - start))
     return reports

@@ -4,11 +4,16 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from catalan_posets.cli import main
 from catalan_posets.errors import CAPACITY
+
+#: The package's source directory: child interpreters started there
+#: import it without PYTHONPATH.
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CENSUS3 = (
     "descent_set_text,size,count\n"
@@ -154,6 +159,16 @@ def test_map_rejects_pattern(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("digits", [4000, 5000])
+@pytest.mark.parametrize("direction, text", [("f", "{1,%s}"), ("finv", "1,%s")])
+def test_map_rejects_a_long_number_in_one_short_line(capsys, digits, direction, text):
+    # 5000 digits exceed Python's limit for int(); 4000 stay under it, and
+    # naming the number would make the line over 4 KB
+    code, out, err = run_cli(capsys, "map", direction, text % ("1" * digits))
+    assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith("error:")
+    assert len(err.encode()) < 200 and "set_int_max_str_digits" not in err
+
+
 def test_poset_dot(capsys):
     code, out, _ = run_cli(capsys, "poset", "P", "--n", "3", "--format", "dot")
     assert code == 0
@@ -282,6 +297,7 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "catalan_posets", "census", "--n", "3"],
         capture_output=True,
         text=True,
+        cwd=SRC,
     )
     assert result.returncode == 0
     assert result.stdout == CENSUS3
@@ -290,8 +306,8 @@ def test_module_entry_point_runs():
 def test_module_entry_point_bytes_stable():
     command = [sys.executable, "-m", "catalan_posets", "poset", "P", "--n", "5",
                "--format", "json"]
-    first = subprocess.run(command, capture_output=True).stdout
-    second = subprocess.run(command, capture_output=True).stdout
+    first = subprocess.run(command, capture_output=True, cwd=SRC).stdout
+    second = subprocess.run(command, capture_output=True, cwd=SRC).stdout
     assert first and first == second
 
 
@@ -320,6 +336,7 @@ def assert_closed_pipe_is_one_error_line(argv, head, stdin=None, env=None):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
+        cwd=SRC,
     ) as process:
         if stdin is not None:
             process.stdin.write(stdin)
@@ -364,6 +381,7 @@ def run_with_closed_fd(fd, *argv):
         stderr=subprocess.PIPE,
         text=True,
         preexec_fn=lambda: os.close(fd),
+        cwd=SRC,
     )
 
 
@@ -404,6 +422,7 @@ def test_stderr_lines_leave_stdout_and_exit_status_alone(spoil_stderr, argv, cod
         stdout=subprocess.PIPE,
         text=True,
         preexec_fn=spoil_stderr,
+        cwd=SRC,
     )
     assert (result.returncode, result.stdout) == (code, out)
 
@@ -453,6 +472,7 @@ def test_map_reads_element_from_stdin():
         input=singletons + "\n",
         capture_output=True,
         text=True,
+        cwd=SRC,
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == ",".join(map(str, range(n, 0, -1))) + "\n"
@@ -461,6 +481,7 @@ def test_map_reads_element_from_stdin():
         input="64573812\n",
         capture_output=True,
         text=True,
+        cwd=SRC,
     )
     assert (result.returncode, result.stdout, result.stderr) == (
         0,

@@ -8,8 +8,8 @@ from catalan_posets.verify import (
     CHECKS,
     catalan,
     check_census_symmetry,
+    check_coarsening,
     check_rank_statistics,
-    check_sperner_suite,
     run_checks,
 )
 
@@ -59,7 +59,7 @@ def test_census_symmetry_at_large_size():
 
 
 def test_sperner_suite_structure():
-    reports = check_sperner_suite(8)
+    reports = run_checks(("sperner",), 8)
     assert [r.name for r in reports] == [
         "sperner-width",
         "sperner-dk",
@@ -85,7 +85,7 @@ def test_sperner_lines_fail_on_a_cut_loose_bottom(monkeypatch):
     )
     assert max_antichain(broken) == 21
     monkeypatch.setattr(verify, "build_descent_poset", lambda _n: broken)
-    reports = check_sperner_suite(5)
+    reports = run_checks(("sperner",), 5)
     assert [(r.name, r.passed) for r in reports] == [
         ("sperner-width", False),
         ("sperner-dk", False),
@@ -99,6 +99,12 @@ def test_run_checks_each_name_at_small_size():
     # sperner expands to three reports
     assert len(reports) == len(CHECKS) + 2
     assert all(r.passed for r in reports)
+
+
+def test_run_checks_times_each_line_and_direct_calls_report_zero():
+    reports = run_checks(tuple(CHECKS), 5)
+    assert len(reports) == 7 and all(r.elapsed > 0 for r in reports)
+    assert check_coarsening(5).elapsed == 0.0
 
 
 def test_run_checks_clamps_when_asked():
