@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .errors import clip
 from .partitions import SetPartition
 from .permutations import check_permutation
 
@@ -42,7 +43,7 @@ def ncp_to_perm(partition: SetPartition) -> tuple[int, ...]:
         while ends[-1] < block[0]:
             ends.pop()
         if block[-1] > ends[-1]:
-            raise ValueError(f"partition {partition} is not noncrossing")
+            raise ValueError(f"partition {clip(str(partition))} is not noncrossing")
         for x in reversed(block):
             image[x - 1] = value
             value -= 1
@@ -70,7 +71,7 @@ def perm_to_ncp(perm: Sequence[int]) -> SetPartition:
         while stack and stack[-1][0] < x:
             block = stack.pop()[1]
         if stack and stack[-1][2] < x:
-            raise ValueError(f"permutation {entries} contains a 132 pattern")
+            raise ValueError(f"permutation {clip(str(entries))} contains a 132 pattern")
         if block is None:
             block = []
             blocks.append(block)

@@ -5,6 +5,8 @@ way), poset (DOT/JSON export), census (CSV of counts by descent set), and
 verify (run the check suite).  stdout is reserved for byte-deterministic
 results; timings and errors go to stderr.  Exit status: 0 success, 1 data
 or capacity error, unwritable output or a failed check, 2 usage error.
+The help formatter is sized here by argparse's own rule: left to argparse,
+reading the terminal width imports a file-utilities module and zlib, bz2, lzma.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import argparse
 import os
 import sys
 from collections.abc import Iterable, Sequence
+from functools import partial
 from itertools import islice
 
 from .bijection import ncp_to_perm, perm_to_ncp
 from .census import census_to_csv
-from .errors import CapacityError
+from .errors import CapacityError, clip
 from .partitions import _ncp_text, format_partition, parse_partition
 from .permutations import _av132_text, format_permutation, parse_permutation
 from .poset import (
@@ -44,27 +47,43 @@ def _parse_checks(text: str) -> tuple[str, ...]:
 
 def _nonnegative_int(text: str) -> int:
     try:
-        value = int(text)
+        if (value := int(text)) >= 0:
+            return value
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
+        text = repr(text)
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {clip(text)}")
+
+
+def _help_width() -> int:
+    """COLUMNS if a positive integer, else the width of the terminal on stdout,
+    else 80; less 2, as argparse takes it."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return (columns or 80) - 2
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # subparsers do not inherit formatter_class
+    formatter = partial(argparse.HelpFormatter, width=_help_width())
     parser = argparse.ArgumentParser(
         prog="catalan-posets",
         description=(
             "Noncrossing partitions, 132-avoiding permutations, the bijection "
             "between them, and the graded posets built on both families."
         ),
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, formatter_class=formatter)
 
-    enum = sub.add_parser("enumerate", help="list one family in canonical order")
+    enum = add_parser("enumerate", help="list one family in canonical order")
     enum.add_argument("kind", choices=("av132", "ncp"), help="which family to list")
     enum.add_argument("--n", type=int, required=True, help="ground size")
     enum.add_argument(
@@ -72,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     enum.add_argument("--output", default=None, help="write here instead of stdout")
 
-    map_cmd = sub.add_parser("map", help="apply the bijection in either direction")
+    map_cmd = add_parser("map", help="apply the bijection in either direction")
     map_cmd.add_argument(
         "direction",
         choices=("f", "finv"),
@@ -82,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         "text", help="the element to map, in the text formats; - reads it from stdin"
     )
 
-    poset = sub.add_parser("poset", help="export a poset as DOT or JSON")
+    poset = add_parser("poset", help="export a poset as DOT or JSON")
     poset.add_argument(
         "family", choices=("P", "Q"), help="P: descent order; Q: refinement order"
     )
@@ -90,13 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
     poset.add_argument("--format", choices=("dot", "json"), required=True)
     poset.add_argument("--output", default=None, help="write here instead of stdout")
 
-    census = sub.add_parser(
+    census = add_parser(
         "census", help="CSV of 132-avoiding permutation counts by descent set"
     )
     census.add_argument("--n", type=int, required=True, help="ground size")
     census.add_argument("--output", default=None, help="write here instead of stdout")
 
-    verify = sub.add_parser("verify", help="run verification checks")
+    verify = add_parser("verify", help="run verification checks")
     verify.add_argument(
         "--checks",
         type=_parse_checks,

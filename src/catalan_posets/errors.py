@@ -1,4 +1,4 @@
-"""Shared exception type and the size caps of every operation."""
+"""Shared exception type, the size caps of every operation, and clip."""
 
 from __future__ import annotations
 
@@ -51,3 +51,8 @@ def check_capacity(operation: str, n: int) -> None:
     cap = CAPACITY[operation]
     if n > cap:
         raise CapacityError(f"{operation} supports n up to {cap}, got {n}")
+
+
+def clip(text: str) -> str:
+    """text for an error line: whole up to 60 characters, else cut there."""
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"

@@ -2,13 +2,14 @@ import contextlib
 import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from catalan_posets.cli import main
+from catalan_posets.cli import build_parser, main
 from catalan_posets.errors import CAPACITY
 
 #: The package's source directory: child interpreters started there
@@ -167,6 +168,63 @@ def test_map_rejects_a_long_number_in_one_short_line(capsys, digits, direction, 
     code, out, err = run_cli(capsys, "map", direction, text % ("1" * digits))
     assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith("error:")
     assert len(err.encode()) < 200 and "set_int_max_str_digits" not in err
+
+
+LONG = ",".join(map(str, range(1, 20001)))
+
+
+@pytest.mark.parametrize(
+    "direction, text",
+    [
+        ("finv", LONG + ",01"),
+        ("f", "{" + LONG + ",01}"),
+        ("finv", "1,20000," + LONG.removeprefix("1,").removesuffix(",20000")),
+        ("f", "{1,3}/{2," + LONG.split(",", 3)[3] + "}"),
+    ],
+    ids=["malformed-permutation", "malformed-block", "pattern", "crossing"],
+)
+def test_map_error_line_is_short_for_a_long_input(capsys, direction, text):
+    # each message names the input, which in full is over 100 KB
+    code, out, err = run_cli(capsys, "map", direction, text)
+    assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith("error:")
+    assert len(err.encode()) < 200 and "characters)" in err
+
+
+def test_limit_usage_error_line_is_short_for_a_long_text(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["enumerate", "av132", "--n", "3", "--limit", "x" * 20000])
+    assert excinfo.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith("... (20002 characters)") and len(last) < 200
+
+
+def _no_terminal(fd=1):
+    raise OSError("not a terminal")
+
+
+@pytest.mark.parametrize("columns", [None, "0", "-3", "x", "40", "200"])
+@pytest.mark.parametrize(
+    "terminal",
+    [(123, 40), (0, 0), _no_terminal, None],
+    ids=["123-columns", "0-columns", "oserror", "no-stdout"],
+)
+def test_help_width_is_shutils_terminal_width_less_two(monkeypatch, columns, terminal):
+    # argparse sizes its help by shutil.get_terminal_size, which the package
+    # does not import; shutil, reading the same patched os, is the oracle
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    if terminal is None:
+        monkeypatch.setattr(sys, "__stdout__", None)
+    elif callable(terminal):
+        monkeypatch.setattr(os, "get_terminal_size", terminal)
+    else:
+        monkeypatch.setattr(os, "get_terminal_size", lambda fd=1: os.terminal_size(terminal))
+    parser = build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices.values()
+    widths = [each._get_formatter()._width for each in (parser, *subparsers)]
+    assert widths == [shutil.get_terminal_size().columns - 2] * 6
 
 
 def test_poset_dot(capsys):

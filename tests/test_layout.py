@@ -107,3 +107,30 @@ def test_import_loads_no_unwanted_standard_module():
         check=True,
     )
     assert result.stdout.split() == []
+
+
+#: What argparse loads to size its help, through shutil.get_terminal_size.
+HELP_WIDTH_MODULES = ("shutil", "bz2", "lzma", "zlib")
+
+
+def test_cli_run_loads_no_shutil():
+    probe = (
+        "import sys\n"
+        "from catalan_posets.cli import main\n"
+        "for argv in (['map', 'f', '{1,2}'], ['census', '--n', '3'],"
+        " ['census', '--n', 'x'], ['verify', '--help']):\n"
+        "    try:\n"
+        "        main(argv)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        f"print('loaded:', *sorted(set({HELP_WIDTH_MODULES!r}) & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        cwd=ROOT / "src",
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert "usage:" in result.stdout and "invalid int value" in result.stderr
+    assert result.stdout.splitlines()[-1] == "loaded:"
