@@ -227,27 +227,3 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
         sum(1 for gain in increments if gain > part)
         for part in range(max(increments, default=0))
     )
-
-
-def max_k_antichain_union(poset: GradedPoset, k: int) -> int:
-    """Largest number of elements in a union of k antichains.
-
-    >>> from .poset import build_descent_poset
-    >>> [max_k_antichain_union(build_descent_poset(4), k) for k in (1, 2, 3, 4)]
-    [6, 12, 13, 14]
-    """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    return sum(min(part, k) for part in chain_cover_profile(poset))
-
-
-def check_k_sperner(poset: GradedPoset, k: int) -> bool:
-    """True iff the largest k-antichain union is the sum of the k largest
-    rank sizes.
-
-    >>> from .poset import build_descent_poset
-    >>> all(check_k_sperner(build_descent_poset(5), k) for k in range(1, 6))
-    True
-    """
-    expected = sum(sorted(poset.rank_sizes(), reverse=True)[:k])
-    return max_k_antichain_union(poset, k) == expected

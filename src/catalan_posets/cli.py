@@ -40,7 +40,7 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     for name in names:
         if name not in known:
             raise argparse.ArgumentTypeError(
-                f"unknown check {name!r} (known: {', '.join(known)})"
+                f"unknown check {clip(repr(name))} (known: {', '.join(known)})"
             )
     return names
 

@@ -19,9 +19,9 @@ class CapacityError(Exception):
 #: holds one bit row per element.  A "check" entry is the
 #: largest size at which that check stays exhaustive within an interactive
 #: budget.  The last three are sizes inside a check: the lemma check
-#: compares the census and the counter with a tally over the enumeration
-#: only up to its entry, and the sperner suite runs its two heavier parts
-#: at the smaller of their entry and its own size.
+#: compares the census with a tally over the enumeration only up to its
+#: entry, and the sperner suite runs its two heavier parts at the smaller
+#: of their entry and its own size.
 CAPACITY = {
     "enumeration": 12,
     "census": 16,
@@ -31,7 +31,7 @@ CAPACITY = {
     "check lemma": 12,
     "check selfdual": 9,
     "check sperner": 8,
-    "lemma recursion agreement": 9,
+    "lemma enumeration tally": 9,
     "sperner-dk": 6,
     "sperner-transfer": 7,
 }

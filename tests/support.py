@@ -12,7 +12,7 @@ import io
 import json
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -65,6 +65,26 @@ def split_count_by_descent_set(n: int, mask: int) -> int:
             n - k, mask >> k
         )
     return total
+
+
+@lru_cache(maxsize=None)
+def depth_first_census(n: int) -> tuple[int, ...]:
+    """counts[mask] = number of 132-avoiders of [n] with descent mask
+    `mask`, by the package's former census: the open-block transfer
+    walked over the choices for 2..n depth first, each prefix shared
+    between sibling masks.  An element that opens a block (a descent
+    before it) appends depth 1; any other takes running sums."""
+    counts = [0] * (1 << (n - 1))
+    # (next element, mask so far, depth vector); element 1 opens a block
+    stack = [(2, 0, [1])]
+    while stack:
+        x, mask, depths = stack.pop()
+        if x > n:
+            counts[mask] = sum(depths)
+        else:
+            stack.append((x + 1, mask, list(accumulate(depths))))
+            stack.append((x + 1, mask | 1 << (x - 2), depths + [0]))
+    return tuple(counts)
 
 
 def count_noncrossing_by_minima(n: int, minima: Iterable[int]) -> int:
@@ -211,6 +231,11 @@ def reference_refinement_poset(
     return elements, ranks, tuple(up), tuple(cover_rows)
 
 
+def leq(poset, i: int, j: int) -> bool:
+    """Whether element i is below or equal to element j."""
+    return poset.leq_rows[i] >> j & 1 == 1
+
+
 def cover_pairs(poset) -> list[tuple[int, int]]:
     """Every (lower, upper) cover pair, read off cover_rows by this
     module's iter_bits rather than the package's listing."""
@@ -309,7 +334,7 @@ def strict_pairs(poset) -> list[tuple[int, int]]:
         (i, j)
         for i in range(poset.size)
         for j in range(poset.size)
-        if i != j and poset.leq(i, j)
+        if i != j and leq(poset, i, j)
     ]
 
 
@@ -319,7 +344,7 @@ def comparable_mask_rows(poset) -> list[int]:
     for i in range(poset.size):
         mask = 0
         for j in range(poset.size):
-            if i != j and (poset.leq(i, j) or poset.leq(j, i)):
+            if i != j and (leq(poset, i, j) or leq(poset, j, i)):
                 mask |= 1 << j
         rows.append(mask)
     return rows
@@ -354,7 +379,7 @@ def brute_width(poset) -> int:
 def maximal_chains(poset) -> list[frozenset[int]]:
     """All maximal chains, found by walking cover edges from the minima."""
     children: dict[int, list[int]] = {i: [] for i in range(poset.size)}
-    for lower, upper in poset.covers():
+    for lower, upper in cover_pairs(poset):
         children[lower].append(upper)
     chains: list[frozenset[int]] = []
 
@@ -398,7 +423,7 @@ def brute_max_k_antichain_union(poset, k: int) -> int:
     below = [0] * poset.size
     for i in range(poset.size):
         for j in range(poset.size):
-            if i != j and poset.leq(j, i):
+            if i != j and leq(poset, j, i):
                 below[i] |= 1 << j
     order = sorted(range(poset.size), key=poset.ranks.__getitem__)
     best = 0
@@ -430,7 +455,7 @@ def brute_max_k_antichain_union(poset, k: int) -> int:
 def has_antichain_of_size(poset, members: Sequence[int], k: int) -> bool:
     for combo in combinations(members, k):
         if all(
-            not poset.leq(a, b) and not poset.leq(b, a)
+            not leq(poset, a, b) and not leq(poset, b, a)
             for a, b in combinations(combo, 2)
         ):
             return True
@@ -443,7 +468,7 @@ def reverses_order(poset, mapping: Sequence[int]) -> bool:
     if sorted(mapping) != list(range(poset.size)):
         return False
     return all(
-        poset.leq(i, j) == poset.leq(mapping[j], mapping[i])
+        leq(poset, i, j) == leq(poset, mapping[j], mapping[i])
         for i in range(poset.size)
         for j in range(poset.size)
     )

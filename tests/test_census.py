@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import support
+from catalan_posets import census as census_module
 from catalan_posets import verify
 from catalan_posets.census import build_census, census_to_csv, count_by_descent_set
 from catalan_posets.census import _backward, _forward
@@ -37,8 +38,9 @@ def test_census_matches_enumeration_tally():
 
 
 def test_counter_matches_split_recurrence():
-    # every mask beyond the enumeration cap, against splitting at n
-    for n in range(13, 17):
+    # every mask at every size through the census cap, against splitting
+    # at the position of n, which shares nothing with the transfer
+    for n in range(1, CAPACITY["census"] + 1):
         for mask in range(1 << (n - 1)):
             assert count_by_descent_set(n, mask) == support.split_count_by_descent_set(
                 n, mask
@@ -66,12 +68,17 @@ def test_lemma_check_compares_census_with_enumeration(monkeypatch):
 
 
 def test_lemma_check_compares_counter_with_enumeration(monkeypatch):
+    # the census is the counter at every mask, so a counter fault fails lemma
     real = count_by_descent_set
     monkeypatch.setattr(
-        verify, "count_by_descent_set", lambda n, mask: real(n, mask) + (mask == 5)
+        census_module, "count_by_descent_set", lambda n, mask: real(n, mask) + (mask == 5)
     )
-    report = verify.check_census_symmetry(9)
-    assert report.violations == ("counter disagrees with enumeration at {1,3}",)
+    build_census.cache_clear()
+    try:
+        report = verify.check_census_symmetry(9)
+    finally:
+        build_census.cache_clear()
+    assert "census disagrees with enumeration at {1,3}" in report.violations
 
 
 def test_census_totals_are_catalan():
@@ -86,15 +93,16 @@ def test_census_size_four_golden():
 
 
 def test_recursive_counter_agrees_with_census():
-    # every mask through the census cap, where both run; at n = 1 and
-    # n = 2 the counter's low half has no positions
-    assert count_by_descent_set(1, 0) == build_census(1)[0] == 1
-    assert count_by_descent_set(2, 0) == build_census(2)[0] == 1
-    assert count_by_descent_set(2, 1) == build_census(2)[1] == 1
+    # every mask through the census cap, against the depth-first walk of
+    # the same transfer; at n = 1 and n = 2 the counter's low half has no
+    # positions
+    assert count_by_descent_set(1, 0) == support.depth_first_census(1)[0] == 1
+    assert count_by_descent_set(2, 0) == support.depth_first_census(2)[0] == 1
+    assert count_by_descent_set(2, 1) == support.depth_first_census(2)[1] == 1
     for n in range(1, CAPACITY["census"] + 1):
-        census = build_census(n)
+        walked = support.depth_first_census(n)
         for mask in range(1 << (n - 1)):
-            assert count_by_descent_set(n, mask) == census[mask]
+            assert count_by_descent_set(n, mask) == walked[mask]
 
 
 def memo_sizes():

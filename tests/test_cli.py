@@ -198,6 +198,17 @@ def test_limit_usage_error_line_is_short_for_a_long_text(capsys):
     assert last.endswith("... (20002 characters)") and len(last) < 200
 
 
+def test_checks_usage_error_line_is_short_for_a_long_name(capsys):
+    # the clipped name is 82 characters; argparse's prefix and the list of
+    # known checks take 121 more, so the line is 203 bytes at any length
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--checks", "x" * 20000, "--n", "3"])
+    assert excinfo.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and len(errors[0].encode()) < 256
+    assert "xxx... (20002 characters) (known: all," in errors[0]
+
+
 def _no_terminal(fd=1):
     raise OSError("not a terminal")
 

@@ -6,13 +6,18 @@ A public module-level function, class or constant of a module in
 ``src/catalan_posets`` must be referenced by other code in ``src``, by
 ``pyproject.toml`` or by the code in ``benchmarks/``.  References are
 names and attributes in the parsed code, so docstrings and doctests do
-not count, and neither does a definition's use of its own name.
+not count, and neither does a definition's use of its own name.  A
+public method or property of a class in ``src`` must be read as an
+attribute (``x.name``) by code in ``src`` outside its own body, or by
+the code in ``benchmarks/``; a plain name such as a local variable does
+not count.
 """
 
 import ast
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,6 +76,34 @@ def unreferenced_public_names():
     ]
 
 
+def attributes_read(tree):
+    """How often the code in tree reads each attribute name."""
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def unread_public_methods():
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    in_src = sum(map(attributes_read, trees), Counter())
+    outside = set()
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        outside |= set(attributes_read(ast.parse(path.read_text(), str(path))))
+    return [
+        f"{cls.name}.{method.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("_")
+        and method.name not in outside
+        and in_src[method.name] == attributes_read(method)[method.name]
+    ]
+
+
 def test_names_are_read_from_code_not_from_docstrings():
     tree = ast.parse(
         "LIMIT: int = 3\n"
@@ -83,10 +116,19 @@ def test_names_are_read_from_code_not_from_docstrings():
     assert defined_names(second) == ["walk"]
     # a definition's use of its own name is dropped by the caller
     assert used_names(second) == {"walk", "k", "step", "LIMIT"}
+    # plain names are no attribute reads; a method's read of itself is
+    # one, which the caller takes off
+    assert attributes_read(second) == Counter()
+    box = ast.parse("class Box:\n    def size(self):\n        return self.size\n").body[0]
+    assert attributes_read(box) == attributes_read(box.body[0]) == Counter({"size": 1})
 
 
 def test_every_public_name_in_src_has_a_user_outside_the_tests():
     assert unreferenced_public_names() == []
+
+
+def test_every_public_method_in_src_is_read_outside_the_tests():
+    assert unread_public_methods() == []
 
 
 #: Standard modules that cost start-up time and that the package has no

@@ -47,5 +47,5 @@ def test_check_table_caps_are_the_capacity_table():
         str(CAPACITY["sperner-transfer"]),
     ]
     assert re.findall(r"through (\d+)", lemma) == [
-        str(CAPACITY["lemma recursion agreement"])
+        str(CAPACITY["lemma enumeration tally"])
     ]
