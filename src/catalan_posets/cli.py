@@ -39,9 +39,10 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     known = ("all", *CHECKS)
     for name in names:
         if name not in known:
-            raise argparse.ArgumentTypeError(
-                f"unknown check {clip(repr(name))} (known: {', '.join(known)})"
-            )
+            shown = clip(repr(name))
+            if shown == repr(name):  # a clipped name leaves the list to --help
+                shown += f" (known: {', '.join(known)})"
+            raise argparse.ArgumentTypeError(f"unknown check {shown}")
     return names
 
 

@@ -8,10 +8,9 @@ inside a block of b.  Ranks are |descent set| and n - #blocks.
 
 Orders are stored as bitset rows over a fixed element ordering, which
 keeps reachability, cover and antichain computations in whole-row integer
-arithmetic.  The refinement order finds its covers with one integer key
-per partition: field x, n.bit_length() bits wide, holds the minimum of the
-block containing x, so merging two blocks is one subtraction and one
-dictionary lookup.
+arithmetic.  Both orders are graded by their ranks, so the covers of x are
+the elements above x one rank higher: each cover row is an order row
+masked by the next rank's members.
 """
 
 from __future__ import annotations
@@ -97,6 +96,15 @@ def _descent_masks(n: int) -> tuple[int, ...]:
     return tuple(map(descent_mask, enumerate_av132(n)))
 
 
+def _cover_rows(ranks: Sequence[int], leq_rows: Sequence[int]) -> tuple[int, ...]:
+    """Cover rows of an order that ranks grade: j covers i exactly when i
+    is below j and j sits one rank higher."""
+    layers = [0] * (max(ranks) + 2)
+    for i, r in enumerate(ranks):
+        layers[r] |= 1 << i
+    return tuple(row & layers[r + 1] for row, r in zip(leq_rows, ranks))
+
+
 @lru_cache(maxsize=None)
 def build_descent_poset(n: int) -> GradedPoset:
     """The descent order on 132-avoiding permutations of [n], listed
@@ -110,37 +118,55 @@ def build_descent_poset(n: int) -> GradedPoset:
     check_capacity("poset construction", n)
     elements = tuple(enumerate_av132(n))
     masks = _descent_masks(n)
+    # every descent set is realized, so |mask| grades the order
+    if len(set(masks)) != 1 << (n - 1):
+        raise RuntimeError(f"a descent set of [{n}] has no 132-avoiding permutation")
     full = (1 << (n - 1)) - 1
     # j lies strictly above i when the complement of j's mask is properly
     # inside the complement of i's
     above = properly_inside([full ^ m for m in masks], n - 1)
     leq_rows = tuple(above[full ^ m] | (1 << i) for i, m in enumerate(masks))
-    fiber = [0] * (full + 1)
-    for i, m in enumerate(masks):
-        fiber[m] |= 1 << i
-    # every descent set is realized, so the covers are exactly the pairs
-    # whose masks differ by a single added descent
-    if not all(fiber):
-        raise RuntimeError(f"a descent set of [{n}] has no 132-avoiding permutation")
-    cover_rows = tuple(
-        sum(fiber[m | (1 << b)] for b in range(n - 1) if not m >> b & 1)
-        for m in masks
-    )
     ranks = tuple(m.bit_count() for m in masks)
-    return GradedPoset("P", n, elements, ranks, leq_rows, cover_rows)
+    return GradedPoset("P", n, elements, ranks, leq_rows, _cover_rows(ranks, leq_rows))
+
+
+def refinement_rows(n: int, partitions: Sequence[SetPartition]) -> list[int]:
+    """Entry k is the bitset of the indices j with partitions[k] refining
+    partitions[j], for any list of partitions of [n]: b holds
+    every block of a exactly when it holds every two consecutive members
+    of each block of a in one block.  One pass marks, for each pair
+    x < y, the members holding x and y together; each entry is then the
+    AND of at most n - 1 of those rows.
+
+    >>> from .partitions import parse_partition
+    >>> texts = ("{1,3}/{2}", "{1,2,3}", "{1}/{2}/{3}")
+    >>> refinement_rows(3, [parse_partition(text) for text in texts])
+    [3, 2, 7]
+    """
+    last = len(partitions) - 1
+    marks = [[bytearray(b"0" * (last + 1)) for _ in range(y)] for y in range(n + 1)]
+    for j, q in enumerate(partitions):
+        for block in q.blocks:
+            for t in range(1, len(block)):
+                pair = marks[block[t]]
+                for x in block[:t]:
+                    pair[x][last - j] = 49  # ord("1")
+    together = [[int(row, 2) for row in pairs] for pairs in marks]
+    rows = []
+    for q in partitions:
+        row = (1 << (last + 1)) - 1
+        for block in q.blocks:
+            for x, y in zip(block, block[1:]):
+                row &= together[y][x]
+        rows.append(row)
+    return rows
 
 
 @lru_cache(maxsize=None)
 def build_refinement_poset(n: int) -> GradedPoset:
     """The refinement order on noncrossing partitions of [n], listed in
-    growth-string order.
-
-    Each partition is keyed by the integer whose field x holds the minimum
-    of the block containing x.  With W_j the sum of block j's field units,
-    merging block j into an earlier block i gives the key
-    key - (min_j - min_i) * W_j, and the merge is a cover exactly when that
-    key belongs to another noncrossing partition.  The upward closure runs
-    coarse to fine over each element's list of cover targets.
+    growth-string order; its order rows are refinement_rows over the
+    whole family, and n - #blocks grades it.
 
     >>> build_refinement_poset(4).rank_sizes()
     (1, 6, 6, 1)
@@ -150,42 +176,8 @@ def build_refinement_poset(n: int) -> GradedPoset:
     check_capacity("poset construction", n)
     elements = tuple(enumerate_ncp(n))
     ranks = tuple(n - len(q.blocks) for q in elements)
-    width = n.bit_length()
-    unit = [0] + [1 << (x - 1) * width for x in range(1, n + 1)]
-    index: dict[int, int] = {}
-    shapes = []
-    for i, q in enumerate(elements):
-        key = 0
-        weights = []
-        for block in q.blocks:
-            weight = 0
-            for x in block:
-                weight += unit[x]
-            weights.append(weight)
-            key += block[0] * weight
-        index[key] = i
-        shapes.append((key, q.blocks, weights))
-    # merging two blocks coarsens by exactly one rank, so the merges that
-    # land on another noncrossing partition are exactly the covers
-    get = index.get
-    targets = [
-        [
-            t
-            for j in range(1, len(blocks))
-            for i in range(j)
-            if (t := get(key - (blocks[j][0] - blocks[i][0]) * weights[j])) is not None
-        ]
-        for key, blocks, weights in shapes
-    ]
-    cover_rows = tuple(sum(1 << t for t in found) for found in targets)
-    # upward closure, coarse to fine
-    up = [0] * len(elements)
-    for i in sorted(range(len(elements)), key=ranks.__getitem__, reverse=True):
-        closure = 1 << i
-        for j in targets[i]:
-            closure |= up[j]
-        up[i] = closure
-    return GradedPoset("Q", n, elements, ranks, tuple(up), cover_rows)
+    leq_rows = tuple(refinement_rows(n, elements))
+    return GradedPoset("Q", n, elements, ranks, leq_rows, _cover_rows(ranks, leq_rows))
 
 
 def _listed_rows(poset: GradedPoset, names: Sequence[str]) -> Iterator[list[str]]:

@@ -32,7 +32,7 @@ from .antichains import chain_cover_profile, max_antichain, max_antichain_elemen
 from .bijection import image_descent_mask, perm_to_ncp
 from .census import build_census
 from .errors import CAPACITY, check_capacity
-from .partitions import enumerate_ncp
+from .partitions import enumerate_ncp, format_partition
 from .permutations import (
     descent_mask,
     enumerate_av132,
@@ -46,6 +46,7 @@ from .poset import (
     build_refinement_poset,
     iter_bits,
     properly_inside,
+    refinement_rows,
 )
 
 #: Number of violation details retained per report; the rest are dropped
@@ -319,24 +320,22 @@ def check_sperner_dk(n: int) -> VerificationReport:
 def check_sperner_transfer(n: int) -> VerificationReport:
     """A maximum antichain of the descent poset stays an antichain of the
     refinement poset after pulling back through the bijection, at the
-    smaller of n and its sub-cap; examined counts the image pairs."""
+    smaller of n and its sub-cap: refinement_rows over the images alone
+    says which of them refine another.  examined counts the image pairs."""
     n = min(n, CAPACITY["sperner-transfer"])
     p_poset = build_descent_poset(n)
-    q_poset = build_refinement_poset(n)
-    q_index = {q.blocks: i for i, q in enumerate(q_poset.elements)}
-    mapped = [
-        q_index[perm_to_ncp(p_poset.elements[i]).blocks]
-        for i in max_antichain_elements(p_poset)
+    images = [
+        perm_to_ncp(p_poset.elements[i]) for i in max_antichain_elements(p_poset)
     ]
-    chosen = sum(1 << a for a in mapped)  # the images are distinct: an OR
     violations: list[str] = []
-    for a in mapped:
-        for b in iter_bits(q_poset.leq_rows[a] & chosen & ~(1 << a)):
+    for a, row in enumerate(refinement_rows(n, images)):
+        for b in iter_bits(row & ~(1 << a)):
             note_violation(
                 violations,
-                f"images {q_poset.label(a)} and {q_poset.label(b)} are comparable",
+                f"images {format_partition(images[a])} and "
+                f"{format_partition(images[b])} are comparable",
             )
-    pairs = len(mapped) * (len(mapped) - 1) // 2
+    pairs = len(images) * (len(images) - 1) // 2
     return VerificationReport("sperner-transfer", n, pairs, tuple(violations))
 
 

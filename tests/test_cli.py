@@ -199,14 +199,24 @@ def test_limit_usage_error_line_is_short_for_a_long_text(capsys):
 
 
 def test_checks_usage_error_line_is_short_for_a_long_name(capsys):
-    # the clipped name is 82 characters; argparse's prefix and the list of
-    # known checks take 121 more, so the line is 203 bytes at any length
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--checks", "x" * 20000, "--n", "3"])
-    assert excinfo.value.code == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and len(errors[0].encode()) < 256
-    assert "xxx... (20002 characters) (known: all," in errors[0]
+    # a clipped name leaves out the list of known checks, which --help
+    # shows; a name whose repr fits in 60 characters keeps it
+    def error_line(name):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--checks", name, "--n", "3"])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        return errors[0]
+
+    long = error_line("x" * 20000)
+    assert len(long.encode()) <= 200
+    assert long.endswith("xxx... (20002 characters)") and "known:" not in long
+    short = error_line("x" * 58)
+    assert short == (
+        "catalan-posets verify: error: argument --checks: unknown check "
+        f"'{'x' * 58}' (known: all, coarsening, ranks, lemma, selfdual, sperner)"
+    )
 
 
 def _no_terminal(fd=1):

@@ -9,7 +9,7 @@ import support
 from catalan_posets.bijection import ncp_to_perm
 from catalan_posets.cli import main
 from catalan_posets.errors import CAPACITY, CapacityError
-from catalan_posets.partitions import enumerate_ncp, format_partition
+from catalan_posets.partitions import SetPartition, enumerate_ncp, format_partition
 from catalan_posets.permutations import descent_mask, enumerate_av132, format_permutation
 from catalan_posets.poset import (
     GradedPoset,
@@ -18,6 +18,7 @@ from catalan_posets.poset import (
     iter_bits,
     poset_to_dot,
     poset_to_json,
+    refinement_rows,
 )
 from catalan_posets.verify import narayana
 
@@ -120,10 +121,27 @@ def test_matrix_matches_predicate():
 
 
 def test_covers_match_generic_reduction():
-    for n in range(1, 7):
+    # the reduction does not assume that ranks grade the order, so it
+    # checks the one-rank-up cover rule at every size the builders accept
+    for n in range(1, 10):
         for poset in both_posets(n):
             reduced = support.transitive_reduction(poset.leq_rows, poset.ranks)
             assert tuple(reduced) == tuple(poset.cover_rows)
+
+
+def test_refinement_rows_on_shuffled_sub_lists():
+    # sperner-transfer's case: a few partitions, crossing ones allowed,
+    # in no particular order, not a whole family
+    rng = random.Random(2301)
+    for n in range(1, 7):
+        family = list(support.brute_set_partitions(n))
+        for _ in range(20):
+            sub = rng.sample(family, rng.randint(1, min(len(family), 40)))
+            rows = refinement_rows(n, [SetPartition(n, blocks) for blocks in sub])
+            for k, row in enumerate(rows):
+                assert row >> len(sub) == 0
+                for j in range(len(sub)):
+                    assert (row >> j & 1) == support.brute_refines(sub[k], sub[j])
 
 
 def test_cover_edges_step_one_rank():
@@ -158,7 +176,8 @@ def test_rank_sizes_are_narayana():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_refinement_poset_matches_reference_builder(n):
-    # integer merge keys against the former tuple-merge builder
+    # refinement_rows and the one-rank-up cover rule against the former
+    # tuple-merge builder and its upward closure
     elements, ranks, leq_rows, cover_rows = support.reference_refinement_poset(n)
     q = build_refinement_poset(n)
     assert tuple(x.blocks for x in q.elements) == elements

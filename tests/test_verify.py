@@ -6,10 +6,13 @@ from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.poset import build_descent_poset, build_refinement_poset
 from catalan_posets.verify import (
     CHECKS,
+    MAX_VIOLATION_DETAILS,
+    VerificationReport,
     catalan,
     check_census_symmetry,
     check_coarsening,
     check_rank_statistics,
+    note_violation,
     run_checks,
 )
 
@@ -143,3 +146,33 @@ def test_all_checks_pass_at_their_caps():
     for name in CHECKS:
         for report in run_checks((name,), CAPACITY["check " + name]):
             assert report.passed, report.summary_line()
+
+
+def test_summary_line_pass():
+    report = VerificationReport(name="ranks", n=5, examined=10)
+    assert report.passed
+    assert report.summary_line() == "ranks n=5: examined=10 pass"
+
+
+def test_summary_line_fail():
+    report = VerificationReport(
+        name="lemma", n=4, examined=8, violations=("bad mask 3",)
+    )
+    assert not report.passed
+    assert report.summary_line() == "lemma n=4: examined=8 FAIL"
+
+
+def test_summary_line_leaves_out_timing():
+    report = VerificationReport(name="ranks", n=5, examined=10, elapsed=1.25)
+    assert "1.25" not in report.summary_line()
+
+
+def test_note_violation_caps_details():
+    details: list[str] = []
+    for i in range(MAX_VIOLATION_DETAILS + 4):
+        note_violation(details, f"violation {i}")
+    assert len(details) == MAX_VIOLATION_DETAILS + 1
+    assert details[:MAX_VIOLATION_DETAILS] == [
+        f"violation {i}" for i in range(MAX_VIOLATION_DETAILS)
+    ]
+    assert details[-1] == "further violations omitted"
