@@ -132,29 +132,30 @@ def build_descent_poset(n: int) -> GradedPoset:
 
 def refinement_rows(n: int, partitions: Sequence[SetPartition]) -> list[int]:
     """Entry k is the bitset of the indices j with partitions[k] refining
-    partitions[j], for any list of partitions of [n]: b holds
-    every block of a exactly when it holds every two consecutive members
-    of each block of a in one block.  One pass marks, for each pair
-    x < y, the members holding x and y together; each entry is then the
-    AND of at most n - 1 of those rows.
+    partitions[j], for any list of partitions of [n]: b holds every block
+    of a exactly when it holds every two consecutive members of each block
+    of a in one block.  One pass marks, for each pair x < y, the members
+    holding x and y together; each entry is then the AND of at most n - 1
+    of those rows.
 
     >>> from .partitions import parse_partition
     >>> texts = ("{1,3}/{2}", "{1,2,3}", "{1}/{2}/{3}")
     >>> refinement_rows(3, [parse_partition(text) for text in texts])
     [3, 2, 7]
     """
-    last = len(partitions) - 1
-    marks = [[bytearray(b"0" * (last + 1)) for _ in range(y)] for y in range(n + 1)]
+    size = len(partitions)
+    marks = [[bytearray(b"0" * size) for _ in range(y)] for y in range(n + 1)]
     for j, q in enumerate(partitions):
+        digit = size - 1 - j  # bit j, as the binary digits of a row read it
         for block in q.blocks:
             for t in range(1, len(block)):
                 pair = marks[block[t]]
                 for x in block[:t]:
-                    pair[x][last - j] = 49  # ord("1")
+                    pair[x][digit] = 49  # ord("1")
     together = [[int(row, 2) for row in pairs] for pairs in marks]
     rows = []
     for q in partitions:
-        row = (1 << (last + 1)) - 1
+        row = (1 << size) - 1
         for block in q.blocks:
             for x, y in zip(block, block[1:]):
                 row &= together[y][x]
