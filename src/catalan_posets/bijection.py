@@ -40,14 +40,19 @@ def ncp_to_perm(partition: SetPartition) -> tuple[int, ...]:
     value = partition.n
     ends = [partition.n]
     for block in partition.blocks:
-        while ends[-1] < block[0]:
+        first, last = block[0], block[-1]
+        while ends[-1] < first:
             ends.pop()
-        if block[-1] > ends[-1]:
+        if last > ends[-1]:
             raise ValueError(f"partition {clip(str(partition))} is not noncrossing")
+        if first == last:  # a singleton opens no gap
+            image[first - 1] = value
+            value -= 1
+            continue
         for x in reversed(block):
             image[x - 1] = value
             value -= 1
-        ends.extend(x - 1 for x in reversed(block[1:]))
+        ends += [x - 1 for x in block[:0:-1]]
     return tuple(image)
 
 
@@ -73,10 +78,12 @@ def perm_to_ncp(perm: Sequence[int]) -> SetPartition:
         if stack and stack[-1][2] < x:
             raise ValueError(f"permutation {clip(str(entries))} contains a 132 pattern")
         if block is None:
-            block = []
+            block = [j]
             blocks.append(block)
-        block.append(j)
-        smallest = min(smallest, x)
+        else:
+            block.append(j)
+        if x < smallest:
+            smallest = x
         stack.append((x, block, smallest))
     # blocks open in order of their minima and take positions in increasing
     # order, so they are canonical as built

@@ -13,10 +13,11 @@ splits a mask's positions into a low and a high half: the transfer over
 the low half counts the ways to reach each depth, the transposed transfer
 run down from the top counts the ways to finish from each depth (a
 descent drops depth 1, any other element takes prefix sums from depth 1
-up), and the count is their dot product.  Up to CAPACITY["census"] each
-half is memoised by its own bits, 2^7 + 2^8 entries over all masks at
-n = 16; above it nothing is kept.  build_census is the counter at every
-mask, and the lemma check compares it with a tally over the enumeration.
+up), and the count is their dot product.  Up to CAPACITY["census"] the
+first call at n tabulates both halves by their bits, 2^7 + 2^8 vectors at
+n = 16, so a call is two list indexes and the dot product; above it
+nothing is kept.  build_census is the counter at every mask, and the
+lemma check compares it with a tally over the enumeration.
 """
 
 from __future__ import annotations
@@ -58,18 +59,26 @@ def count_by_descent_set(n: int, mask: int) -> int:
     low_width = (n - 1) // 2
     low, high = mask & ((1 << low_width) - 1), mask >> low_width
     if n <= CAPACITY["census"]:
-        # keyed by its own bits, the backward half starts deep enough for
-        # any low half; the dot product stops at the forward vector's end
-        forward, backward, deepest = _forward, _backward, low_width
-    else:
-        forward, backward = _forward.__wrapped__, _backward.__wrapped__
-        deepest = low.bit_count()
-    reach = forward(low, low_width)
-    finish = backward(high, n - 1 - low_width, 1 + deepest + high.bit_count())
+        forwards, backwards = _halves(n)
+        return sum(map(mul, forwards[low], backwards[high]))
+    reach = _forward(low, low_width)
+    finish = _backward(high, n - 1 - low_width, 1 + low.bit_count() + high.bit_count())
     return sum(map(mul, reach, finish))
 
 
 @lru_cache(maxsize=None)
+def _halves(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Every low half's forward vector and every high half's backward
+    vector at n, as lists indexed by the half's bits.  A backward vector
+    starts deep enough for any low half; the dot product stops at the
+    forward vector's end."""
+    low = (n - 1) // 2
+    high = n - 1 - low
+    forwards = [_forward(bits, low) for bits in range(1 << low)]
+    backwards = [_backward(bits, high, 1 + low + bits.bit_count()) for bits in range(1 << high)]
+    return forwards, backwards
+
+
 def _forward(bits: int, width: int) -> tuple[int, ...]:
     """Ways to reach each depth after the elements 2..width + 1 whose
     descents are bits, depth 1 first."""
@@ -82,7 +91,6 @@ def _forward(bits: int, width: int) -> tuple[int, ...]:
     return tuple(reversed(depths))
 
 
-@lru_cache(maxsize=None)
 def _backward(bits: int, width: int, ones: int) -> tuple[int, ...]:
     """Ways to finish from each depth, depth 1 first, through the last
     width elements whose descents are bits; it starts from ones depths."""

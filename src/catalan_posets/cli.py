@@ -46,6 +46,14 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     return names
 
 
+def _int(text: str) -> int:
+    """int(text), with argparse's own error text but the input clipped."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(repr(text))}") from None
+
+
 def _nonnegative_int(text: str) -> int:
     try:
         if (value := int(text)) >= 0:
@@ -86,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     enum = add_parser("enumerate", help="list one family in canonical order")
     enum.add_argument("kind", choices=("av132", "ncp"), help="which family to list")
-    enum.add_argument("--n", type=int, required=True, help="ground size")
+    enum.add_argument("--n", type=_int, required=True, help="ground size")
     enum.add_argument(
         "--limit", type=_nonnegative_int, default=None, help="stop after this many lines"
     )
@@ -106,14 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     poset.add_argument(
         "family", choices=("P", "Q"), help="P: descent order; Q: refinement order"
     )
-    poset.add_argument("--n", type=int, required=True, help="ground size")
+    poset.add_argument("--n", type=_int, required=True, help="ground size")
     poset.add_argument("--format", choices=("dot", "json"), required=True)
     poset.add_argument("--output", default=None, help="write here instead of stdout")
 
     census = add_parser(
         "census", help="CSV of 132-avoiding permutation counts by descent set"
     )
-    census.add_argument("--n", type=int, required=True, help="ground size")
+    census.add_argument("--n", type=_int, required=True, help="ground size")
     census.add_argument("--output", default=None, help="write here instead of stdout")
 
     verify = add_parser("verify", help="run verification checks")
@@ -123,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=("all",),
         help="comma separated subset of: " + ", ".join(("all", *CHECKS)),
     )
-    verify.add_argument("--n", type=int, required=True, help="ground size")
+    verify.add_argument("--n", type=_int, required=True, help="ground size")
     return parser
 
 

@@ -31,7 +31,10 @@ _ONE = re.compile("1")
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of set bits, lowest first: one scan of the binary digits,
     reversed so that a digit's offset is its bit index, in place of
-    full-width integer operations per set bit."""
+    full-width integer operations per set bit.  An empty row, which the
+    checks meet on nearly every call, returns before any conversion."""
+    if not mask:
+        return
     for digit in _ONE.finditer(bin(mask)[:1:-1]):
         yield digit.start()
 

@@ -1,5 +1,8 @@
+from itertools import permutations
+
 import pytest
 
+import support
 from catalan_posets.bijection import image_descent_mask, ncp_to_perm, perm_to_ncp
 from catalan_posets.partitions import SetPartition, enumerate_ncp, parse_partition
 from catalan_posets.permutations import descent_mask, enumerate_av132
@@ -90,3 +93,29 @@ def test_rejects_non_avoiding_permutation():
 def test_rejects_invalid_permutation():
     with pytest.raises(ValueError):
         perm_to_ncp((1, 2, 2))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_forward_on_every_set_partition(n):
+    # crossing partitions are rejected with the exact text, and every
+    # other one maps as the paper's recursion does
+    for blocks in support.brute_set_partitions(n):
+        q = SetPartition(n, blocks)
+        if support.brute_has_crossing(blocks):
+            with pytest.raises(ValueError) as caught:
+                ncp_to_perm(q)
+            assert str(caught.value) == f"partition {q} is not noncrossing"
+        else:
+            assert ncp_to_perm(q) == support.recursive_f(blocks, n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_backward_on_every_permutation(n):
+    avoiders = set(support.brute_av132(n))
+    for p in permutations(range(1, n + 1)):
+        if p in avoiders:
+            assert perm_to_ncp(p).blocks == support.recursive_finv(p)
+        else:
+            with pytest.raises(ValueError) as caught:
+                perm_to_ncp(p)
+            assert str(caught.value) == f"permutation {p} contains a 132 pattern"

@@ -7,7 +7,7 @@ import support
 from catalan_posets import census as census_module
 from catalan_posets import verify
 from catalan_posets.census import build_census, census_to_csv, count_by_descent_set
-from catalan_posets.census import _backward, _forward
+from catalan_posets.census import _halves
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.permutations import (
     descent_mask,
@@ -105,22 +105,20 @@ def test_recursive_counter_agrees_with_census():
             assert count_by_descent_set(n, mask) == walked[mask]
 
 
-def memo_sizes():
-    return _forward.cache_info().currsize, _backward.cache_info().currsize
-
-
 def test_counter_memo_is_bounded():
-    _forward.cache_clear()
-    _backward.cache_clear()
+    _halves.cache_clear()
     for mask in range(1 << 15):
         count_by_descent_set(16, mask)
-    # each half is keyed by its own bits: 2^7 low halves, 2^8 high halves
-    assert memo_sizes() == (1 << 7, 1 << 8)
+    # one table at 16, each half indexed by its own bits: 2^7 low halves,
+    # 2^8 high halves
+    assert _halves.cache_info().currsize == 1
+    forwards, backwards = _halves(16)
+    assert (len(forwards), len(backwards)) == (1 << 7, 1 << 8)
     for n, draws in [(CAPACITY["census"] + 1, 64), (300, 5), (2000, 1)]:
         rng = random.Random(n)
         for _ in range(draws):
             count_by_descent_set(n, rng.getrandbits(n - 1))
-        assert memo_sizes() == (1 << 7, 1 << 8)
+        assert _halves.cache_info().currsize == 1
 
 
 def test_recursive_counter_shift_and_trivial_cases():

@@ -219,6 +219,30 @@ def test_checks_usage_error_line_is_short_for_a_long_name(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["enumerate", "av132"],
+        ["poset", "P", "--format", "json"],
+        ["census"],
+        ["verify"],
+    ],
+)
+def test_n_usage_error_line_is_short_for_a_long_text(capsys, command):
+    def error_lines(text):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--n", text])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert all(len(line.encode()) <= 200 for line in err.splitlines())
+        return [line for line in err.splitlines() if "error:" in line]
+
+    (long,) = error_lines("x" * 20000)
+    assert long.endswith("xxx... (20002 characters)")
+    (short,) = error_lines("abc")
+    assert short == f"catalan-posets {command[0]}: error: argument --n: invalid int value: 'abc'"
+
+
 def _no_terminal(fd=1):
     raise OSError("not a terminal")
 
