@@ -63,6 +63,29 @@ def _nonnegative_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {clip(text)}")
 
 
+def _choice(text: str) -> str:
+    """text, for argparse's choices check to judge.  A text that clip
+    shortens is longer than any choice, so its error is raised here with
+    argparse's wording, the repr clipped and the choices left to --help."""
+    shown = clip(repr(text))
+    if shown != repr(text):
+        raise argparse.ArgumentTypeError(f"invalid choice: {shown}")
+    return text
+
+
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser.  Its one positional is the subcommand, whose
+    action would apply a type to every later argument as well, so an
+    unknown command goes through _choice where argparse checks it."""
+
+    def _check_value(self, action, value):
+        try:
+            _choice(value)
+        except argparse.ArgumentTypeError as error:
+            raise argparse.ArgumentError(action, str(error)) from None
+        super()._check_value(action, value)
+
+
 def _help_width() -> int:
     """COLUMNS if a positive integer, else the width of the terminal on stdout,
     else 80; less 2, as argparse takes it."""
@@ -81,7 +104,7 @@ def _help_width() -> int:
 def build_parser() -> argparse.ArgumentParser:
     # subparsers do not inherit formatter_class
     formatter = partial(argparse.HelpFormatter, width=_help_width())
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catalan-posets",
         description=(
             "Noncrossing partitions, 132-avoiding permutations, the bijection "
@@ -89,11 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=argparse.ArgumentParser
+    )
     add_parser = partial(sub.add_parser, formatter_class=formatter)
 
     enum = add_parser("enumerate", help="list one family in canonical order")
-    enum.add_argument("kind", choices=("av132", "ncp"), help="which family to list")
+    enum.add_argument(
+        "kind", type=_choice, choices=("av132", "ncp"), help="which family to list"
+    )
     enum.add_argument("--n", type=_int, required=True, help="ground size")
     enum.add_argument(
         "--limit", type=_nonnegative_int, default=None, help="stop after this many lines"
@@ -103,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd = add_parser("map", help="apply the bijection in either direction")
     map_cmd.add_argument(
         "direction",
+        type=_choice,
         choices=("f", "finv"),
         help="f maps a partition to its permutation, finv inverts",
     )
@@ -112,10 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     poset = add_parser("poset", help="export a poset as DOT or JSON")
     poset.add_argument(
-        "family", choices=("P", "Q"), help="P: descent order; Q: refinement order"
+        "family",
+        type=_choice,
+        choices=("P", "Q"),
+        help="P: descent order; Q: refinement order",
     )
     poset.add_argument("--n", type=_int, required=True, help="ground size")
-    poset.add_argument("--format", choices=("dot", "json"), required=True)
+    poset.add_argument("--format", type=_choice, choices=("dot", "json"), required=True)
     poset.add_argument("--output", default=None, help="write here instead of stdout")
 
     census = add_parser(

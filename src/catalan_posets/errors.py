@@ -14,14 +14,14 @@ class CapacityError(Exception):
 
 #: Largest n each size-limited operation supports.  Enumeration is cached
 #: per level, so its cap also bounds the memory repeated calls hold; the
-#: census holds one count per mask, and the descent-set counter memoises
-#: its half-mask transfers only up to the same size; poset construction
-#: holds one bit row per element.  A "check" entry is the
-#: largest size at which that check stays exhaustive within an interactive
-#: budget.  The last three are sizes inside a check: the lemma check
-#: compares the census with a tally over the enumeration only up to its
-#: entry, and the sperner suite runs its two heavier parts at the smaller
-#: of their entry and its own size.
+#: census is cached per n and holds one count per mask, and the
+#: descent-set counter reads it up to the same size and keeps nothing
+#: above it; poset construction holds one bit row per element.  A "check"
+#: entry is the largest size at which that check stays exhaustive within
+#: an interactive budget.  The last three are sizes inside a check: the
+#: lemma check compares the census with a tally over the enumeration only
+#: up to its entry, and the sperner suite runs its two heavier parts at
+#: the smaller of their entry and its own size.
 CAPACITY = {
     "enumeration": 12,
     "census": 16,
@@ -54,5 +54,15 @@ def check_capacity(operation: str, n: int) -> None:
 
 
 def clip(text: str) -> str:
-    """text for an error line: whole up to 60 characters, else cut there."""
-    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+    """text for an error line: whole up to 60 characters, else cut there
+    when the cut form is the shorter, which from 80 characters on it is.
+
+    >>> clip("x" * 79) == "x" * 79
+    True
+    >>> clip("x" * 80).endswith("x... (80 characters)"), len(clip("x" * 80))
+    (True, 79)
+    """
+    if len(text) <= 60:
+        return text
+    cut = f"{text[:60]}... ({len(text)} characters)"
+    return cut if len(cut) < len(text) else text

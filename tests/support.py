@@ -42,29 +42,28 @@ def brute_descent_mask(perm: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def split_count_by_descent_set(n: int, mask: int) -> int:
-    """132-avoiders of [n] with descent mask `mask`, by splitting at the
-    position k of n.
+def split_censuses(n: int) -> tuple[tuple[int, ...], ...]:
+    """tables[m][mask] = number of 132-avoiders of [m] with descent mask
+    `mask`, for m = 0..n, by splitting at the position k of m; each table
+    is built from the smaller ones, with no recursion.
 
-    The k - 1 entries left of n are the top values and avoid 132, and so
-    do the entries right of it.  n sits after an ascent at k - 1 and
-    before a descent at k (unless k = n), so the mask must have bit k - 2
-    clear and bit k - 1 set exactly when k < n; the left part keeps the
-    bits below k - 2 and the right part the bits above k, shifted down.
+    The k - 1 entries left of m are the top values and avoid 132, and so
+    do the m - k entries right of it.  m sits after an ascent at k - 1
+    and before a descent at k (unless k = m), so the left part's mask
+    keeps the bits below k - 2 and the right part's mask is shifted up
+    past bit k.  The empty permutation has one mask, 0.
     """
-    if n <= 1:
-        return 1
-    total = 0
-    for k in range(1, n + 1):
-        if k >= 2 and mask >> (k - 2) & 1:
-            continue
-        if (mask >> (k - 1) & 1) != (k < n):
-            continue
-        left = mask & ((1 << max(k - 2, 0)) - 1)
-        total += split_count_by_descent_set(k - 1, left) * split_count_by_descent_set(
-            n - k, mask >> k
-        )
-    return total
+    tables = [(1,)]
+    for m in range(1, n + 1):
+        table = [0] * (1 << (m - 1))
+        for k in range(1, m + 1):
+            peak = (1 << (k - 1)) if k < m else 0
+            for right_mask, right in enumerate(tables[m - k]):
+                high = peak | right_mask << k
+                for left_mask, left in enumerate(tables[k - 1]):
+                    table[high | left_mask] += left * right
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 @lru_cache(maxsize=None)

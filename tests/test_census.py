@@ -7,7 +7,6 @@ import support
 from catalan_posets import census as census_module
 from catalan_posets import verify
 from catalan_posets.census import build_census, census_to_csv, count_by_descent_set
-from catalan_posets.census import _halves
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.permutations import (
     descent_mask,
@@ -40,11 +39,36 @@ def test_census_matches_enumeration_tally():
 def test_counter_matches_split_recurrence():
     # every mask at every size through the census cap, against splitting
     # at the position of n, which shares nothing with the transfer
+    tables = support.split_censuses(CAPACITY["census"])
     for n in range(1, CAPACITY["census"] + 1):
+        assert build_census(n) == tables[n]
         for mask in range(1 << (n - 1)):
-            assert count_by_descent_set(n, mask) == support.split_count_by_descent_set(
-                n, mask
-            )
+            assert count_by_descent_set(n, mask) == tables[n][mask]
+
+
+@pytest.mark.parametrize("n", [12, CAPACITY["census"]])
+def test_symmetric_fault_passes_lemma_and_fails_the_split_recurrence(monkeypatch, n):
+    # one unit moves from S to T and one from rc(S) to rc(T), with |S| = |T|:
+    # the census stays rc-symmetric with the same total and the same sums by
+    # size, and above the enumeration tally's sub-cap only the oracle sees it
+    s, t = 0b1, 0b10
+    partners = reverse_complement_mask(n, s), reverse_complement_mask(n, t)
+    assert len({s, t, *partners}) == 4 and s.bit_count() == t.bit_count()
+    bad = list(build_census(n))
+    for source, target in [(s, t), partners]:
+        bad[source] -= 1
+        bad[target] += 1
+    bad = tuple(bad)
+    assert verify._descent_rank_sizes(n) == tuple(
+        sum(count for mask, count in enumerate(bad) if mask.bit_count() == size)
+        for size in range(n)
+    )
+    monkeypatch.setattr(verify, "build_census", lambda n: bad)
+    assert verify.check_census_symmetry(n).passed
+    oracle = support.split_censuses(n)[n]
+    assert [mask for mask in range(len(bad)) if bad[mask] != oracle[mask]] == sorted(
+        (s, t, *partners)
+    )
 
 
 @pytest.mark.parametrize("n, draws", [(300, 20), (2000, 3)])
@@ -68,11 +92,16 @@ def test_lemma_check_compares_census_with_enumeration(monkeypatch):
 
 
 def test_lemma_check_compares_counter_with_enumeration(monkeypatch):
-    # the census is the counter at every mask, so a counter fault fails lemma
-    real = count_by_descent_set
-    monkeypatch.setattr(
-        census_module, "count_by_descent_set", lambda n, mask: real(n, mask) + (mask == 5)
-    )
+    # the census and the counter share one transfer, so a fault in it fails
+    # lemma: at n = 9 the low half is the first four positions, and one more
+    # way to reach depth 1 over {1,3} there adds to every mask with that half
+    real = census_module._forward
+
+    def forward(bits, width):
+        reach = real(bits, width)
+        return (reach[0] + 1, *reach[1:]) if (bits, width) == (0b101, 4) else reach
+
+    monkeypatch.setattr(census_module, "_forward", forward)
     build_census.cache_clear()
     try:
         report = verify.check_census_symmetry(9)
@@ -106,19 +135,27 @@ def test_recursive_counter_agrees_with_census():
 
 
 def test_counter_memo_is_bounded():
-    _halves.cache_clear()
+    # every mask at 16 reads one census; above the cap nothing is kept
+    build_census.cache_clear()
     for mask in range(1 << 15):
         count_by_descent_set(16, mask)
-    # one table at 16, each half indexed by its own bits: 2^7 low halves,
-    # 2^8 high halves
-    assert _halves.cache_info().currsize == 1
-    forwards, backwards = _halves(16)
-    assert (len(forwards), len(backwards)) == (1 << 7, 1 << 8)
+    assert build_census.cache_info().currsize == 1
     for n, draws in [(CAPACITY["census"] + 1, 64), (300, 5), (2000, 1)]:
         rng = random.Random(n)
         for _ in range(draws):
             count_by_descent_set(n, rng.getrandbits(n - 1))
-        assert _halves.cache_info().currsize == 1
+        assert build_census.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, CAPACITY["census"]])
+def test_one_counter_call_fills_that_census_entry(n):
+    build_census.cache_clear()
+    mask = (1 << (n - 1)) - 1
+    assert count_by_descent_set(n, mask) == 1
+    info = build_census.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
+    assert len(build_census(n)) == 1 << (n - 1)
+    assert build_census.cache_info().hits == 1
 
 
 def test_recursive_counter_shift_and_trivial_cases():

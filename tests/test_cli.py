@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from catalan_posets.cli import build_parser, main
-from catalan_posets.errors import CAPACITY
+from catalan_posets.errors import CAPACITY, clip
 
 #: The package's source directory: child interpreters started there
 #: import it without PYTHONPATH.
@@ -241,6 +241,42 @@ def test_n_usage_error_line_is_short_for_a_long_text(capsys, command):
     assert long.endswith("xxx... (20002 characters)")
     (short,) = error_lines("abc")
     assert short == f"catalan-posets {command[0]}: error: argument --n: invalid int value: 'abc'"
+
+
+@pytest.mark.parametrize(
+    "argv, name, choices",
+    [
+        (["enumerate", "TEXT", "--n", "3"], "kind", "'av132', 'ncp'"),
+        (["map", "TEXT", "1"], "direction", "'f', 'finv'"),
+        (["poset", "TEXT", "--n", "3", "--format", "dot"], "family", "'P', 'Q'"),
+        (["poset", "P", "--n", "3", "--format", "TEXT"], "--format", "'dot', 'json'"),
+        (["TEXT"], "command", "'enumerate', 'map', 'poset', 'census', 'verify'"),
+    ],
+    ids=["kind", "direction", "family", "format", "command"],
+)
+def test_invalid_choice_error_line_is_short_for_a_long_text(capsys, argv, name, choices):
+    # a clipped text leaves out the list of choices, which --help shows; a
+    # short one keeps argparse's own line
+    def error_lines(text):
+        with pytest.raises(SystemExit) as excinfo:
+            main([text if arg == "TEXT" else arg for arg in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert all(len(line.encode()) <= 200 for line in err.splitlines())
+        return [line for line in err.splitlines() if "error:" in line]
+
+    (long,) = error_lines("x" * 20000)
+    assert long.endswith(f"argument {name}: invalid choice: '{'x' * 59}... (20002 characters)")
+    (short,) = error_lines("xyz")
+    assert short.endswith(f"error: argument {name}: invalid choice: 'xyz' (choose from {choices})")
+
+
+def test_clip_never_lengthens_a_text():
+    for length in range(201):
+        text = "x" * length
+        assert len(clip(text)) <= len(text)
+        if length <= 60:
+            assert clip(text) == text
 
 
 def _no_terminal(fd=1):
