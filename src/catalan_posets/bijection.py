@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import clip
 from .partitions import SetPartition
 from .permutations import check_permutation
 
@@ -44,7 +43,7 @@ def ncp_to_perm(partition: SetPartition) -> tuple[int, ...]:
         while ends[-1] < first:
             ends.pop()
         if last > ends[-1]:
-            raise ValueError(f"partition {clip(str(partition))} is not noncrossing")
+            raise ValueError(f"partition {partition} is not noncrossing")
         if first == last:  # a singleton opens no gap
             image[first - 1] = value
             value -= 1
@@ -76,7 +75,7 @@ def perm_to_ncp(perm: Sequence[int]) -> SetPartition:
         while stack and stack[-1][0] < x:
             block = stack.pop()[1]
         if stack and stack[-1][2] < x:
-            raise ValueError(f"permutation {clip(str(entries))} contains a 132 pattern")
+            raise ValueError(f"permutation {entries} contains a 132 pattern")
         if block is None:
             block = [j]
             blocks.append(block)

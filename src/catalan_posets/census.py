@@ -123,13 +123,14 @@ def census_to_csv(n: int) -> str:
     {2},1,1
     "{1,2}",2,1
     """
+    census = build_census(n)  # first, for its capacity check
     # texts[mask] lists mask's positions: doubling the list once per
     # position appends that position to every text before it
     texts = [""]
     for position in range(1, n):
         texts += [f"{text},{position}" if text else str(position) for text in texts]
     lines = ["descent_set_text,size,count\n"]
-    for mask, (text, count) in enumerate(zip(texts, build_census(n))):
+    for mask, (text, count) in enumerate(zip(texts, census)):
         size = mask.bit_count()
         text = f'"{{{text}}}"' if size > 1 else f"{{{text}}}"
         lines.append(f"{text},{size},{count}\n")

@@ -5,6 +5,9 @@ way), poset (DOT/JSON export), census (CSV of counts by descent set), and
 verify (run the check suite).  stdout is reserved for byte-deterministic
 results; timings and errors go to stderr.  Exit status: 0 success, 1 data
 or capacity error, unwritable output or a failed check, 2 usage error.
+Each error is one `error:` line on stderr of under 200 UTF-8 bytes with its
+newline: argparse's through _Parser.error, the others through main, both
+by _error_line, which cuts a longer line to end in `... (N characters)`.
 The help formatter is sized here by argparse's own rule: left to argparse,
 reading the terminal width imports a file-utilities module and zlib, bz2, lzma.
 """
@@ -20,7 +23,7 @@ from itertools import islice
 
 from .bijection import ncp_to_perm, perm_to_ncp
 from .census import census_to_csv
-from .errors import CapacityError, clip
+from .errors import CapacityError
 from .partitions import _ncp_text, format_partition, parse_partition
 from .permutations import _av132_text, format_permutation, parse_permutation
 from .poset import (
@@ -32,6 +35,38 @@ from .poset import (
 from .verify import CHECKS, run_checks
 
 
+#: UTF-8 bytes an error line may take before its newline, so that with
+#: it the line stays under 200.
+_LINE_BYTES = 198
+
+#: The line breaks of str.splitlines, each to the escape repr gives it.
+_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+
+
+def _error_line(head: str, message: str) -> str:
+    """head + message as one line, whole if it takes at most _LINE_BYTES of
+    UTF-8, else its longest start that leaves room for '... (N characters)',
+    N the length of message.  Line breaks and lone surrogates (undecodable
+    bytes of an argument) are written as their backslash escapes, as stderr
+    writes a surrogate, so any UTF-8 stream takes the line.
+
+    >>> _error_line("error: ", "x" * 191) == "error: " + "x" * 191
+    True
+    >>> line = _error_line("error: ", "\u00e9" * 200)
+    >>> line.endswith("\u00e9... (200 characters)"), len(line.encode())
+    (True, 197)
+    """
+    line = (head + message).translate(_BREAKS)
+    data = line.encode("utf-8", "backslashreplace")
+    if len(data) <= _LINE_BYTES:
+        return data.decode()
+    tail = f"... ({len(message)} characters)"
+    # a character cut in two leaves an undecodable end, which is dropped
+    return data[: _LINE_BYTES - len(tail)].decode(errors="ignore") + tail
+
+
 def _parse_checks(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
@@ -39,19 +74,10 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     known = ("all", *CHECKS)
     for name in names:
         if name not in known:
-            shown = clip(repr(name))
-            if shown == repr(name):  # a clipped name leaves the list to --help
-                shown += f" (known: {', '.join(known)})"
-            raise argparse.ArgumentTypeError(f"unknown check {shown}")
+            raise argparse.ArgumentTypeError(
+                f"unknown check {name!r} (known: {', '.join(known)})"
+            )
     return names
-
-
-def _int(text: str) -> int:
-    """int(text), with argparse's own error text but the input clipped."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {clip(repr(text))}") from None
 
 
 def _nonnegative_int(text: str) -> int:
@@ -60,30 +86,17 @@ def _nonnegative_int(text: str) -> int:
             return value
     except ValueError:
         text = repr(text)
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {clip(text)}")
-
-
-def _choice(text: str) -> str:
-    """text, for argparse's choices check to judge.  A text that clip
-    shortens is longer than any choice, so its error is raised here with
-    argparse's wording, the repr clipped and the choices left to --help."""
-    shown = clip(repr(text))
-    if shown != repr(text):
-        raise argparse.ArgumentTypeError(f"invalid choice: {shown}")
-    return text
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
 
 
 class _Parser(argparse.ArgumentParser):
-    """The top-level parser.  Its one positional is the subcommand, whose
-    action would apply a type to every later argument as well, so an
-    unknown command goes through _choice where argparse checks it."""
+    """The parser of the command line and of each subcommand."""
 
-    def _check_value(self, action, value):
-        try:
-            _choice(value)
-        except argparse.ArgumentTypeError as error:
-            raise argparse.ArgumentError(action, str(error)) from None
-        super()._check_value(action, value)
+    def error(self, message: str):
+        """Exit 2 after the usage and one error line, as argparse does, with
+        the line bounded by _error_line."""
+        self.print_usage(sys.stderr)
+        self.exit(2, _error_line(f"{self.prog}: error: ", message) + "\n")
 
 
 def _help_width() -> int:
@@ -112,16 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=argparse.ArgumentParser
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     add_parser = partial(sub.add_parser, formatter_class=formatter)
 
     enum = add_parser("enumerate", help="list one family in canonical order")
-    enum.add_argument(
-        "kind", type=_choice, choices=("av132", "ncp"), help="which family to list"
-    )
-    enum.add_argument("--n", type=_int, required=True, help="ground size")
+    enum.add_argument("kind", choices=("av132", "ncp"), help="which family to list")
+    enum.add_argument("--n", type=int, required=True, help="ground size")
     enum.add_argument(
         "--limit", type=_nonnegative_int, default=None, help="stop after this many lines"
     )
@@ -130,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd = add_parser("map", help="apply the bijection in either direction")
     map_cmd.add_argument(
         "direction",
-        type=_choice,
         choices=("f", "finv"),
         help="f maps a partition to its permutation, finv inverts",
     )
@@ -141,18 +149,17 @@ def build_parser() -> argparse.ArgumentParser:
     poset = add_parser("poset", help="export a poset as DOT or JSON")
     poset.add_argument(
         "family",
-        type=_choice,
         choices=("P", "Q"),
         help="P: descent order; Q: refinement order",
     )
-    poset.add_argument("--n", type=_int, required=True, help="ground size")
-    poset.add_argument("--format", type=_choice, choices=("dot", "json"), required=True)
+    poset.add_argument("--n", type=int, required=True, help="ground size")
+    poset.add_argument("--format", choices=("dot", "json"), required=True)
     poset.add_argument("--output", default=None, help="write here instead of stdout")
 
     census = add_parser(
         "census", help="CSV of 132-avoiding permutation counts by descent set"
     )
-    census.add_argument("--n", type=_int, required=True, help="ground size")
+    census.add_argument("--n", type=int, required=True, help="ground size")
     census.add_argument("--output", default=None, help="write here instead of stdout")
 
     verify = add_parser("verify", help="run verification checks")
@@ -162,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=("all",),
         help="comma separated subset of: " + ", ".join(("all", *CHECKS)),
     )
-    verify.add_argument("--n", type=_int, required=True, help="ground size")
+    verify.add_argument("--n", type=int, required=True, help="ground size")
     return parser
 
 
@@ -277,14 +284,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if sys.stdout is not None:
             sys.stdout.flush()
         return code
-    except BrokenPipeError as error:
-        # the reader closed stdout: send what is still buffered to devnull,
-        # so that the interpreter's own flush at exit does not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        _note(f"error: {error}")
-        return 1
     except (CapacityError, ValueError, OSError) as error:
-        _note(f"error: {error}")
+        if isinstance(error, BrokenPipeError):
+            # the reader closed stdout: send what is still buffered to devnull,
+            # so that the interpreter's own flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _note(_error_line("error: ", str(error)))
         return 1
 
 

@@ -1,4 +1,4 @@
-"""Shared exception type, the size caps of every operation, and clip."""
+"""Shared exception type and the size caps of every operation."""
 
 from __future__ import annotations
 
@@ -52,17 +52,3 @@ def check_capacity(operation: str, n: int) -> None:
     if n > cap:
         raise CapacityError(f"{operation} supports n up to {cap}, got {n}")
 
-
-def clip(text: str) -> str:
-    """text for an error line: whole up to 60 characters, else cut there
-    when the cut form is the shorter, which from 80 characters on it is.
-
-    >>> clip("x" * 79) == "x" * 79
-    True
-    >>> clip("x" * 80).endswith("x... (80 characters)"), len(clip("x" * 80))
-    (True, 79)
-    """
-    if len(text) <= 60:
-        return text
-    cut = f"{text[:60]}... ({len(text)} characters)"
-    return cut if len(cut) < len(text) else text

@@ -13,7 +13,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 
-from .errors import check_capacity, clip
+from .errors import check_capacity
 
 #: A block as the enumeration builds it: a tuple of elements, or its text.
 _Block = tuple[int, ...] | str
@@ -199,7 +199,7 @@ def parse_partition(text: str) -> SetPartition:
         raise ValueError("empty partition text")
     if _PARTITION_TEXT.fullmatch(text) is None:
         bad = next(c for c in text.split("/") if _BLOCK_TEXT.fullmatch(c) is None)
-        raise ValueError(f"malformed block text: {clip(repr(bad))}")
+        raise ValueError(f"malformed block text: {bad!r}")
     blocks = [chunk[1:-1].split(",") for chunk in text.split("/")]
     n = sum(map(len, blocks))
     longest = max(len(number) for block in blocks for number in block)

@@ -12,7 +12,7 @@ import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 
-from .errors import check_capacity, clip
+from .errors import check_capacity
 
 #: A permutation or prefix as the enumeration builds it: a tuple, or its text.
 _Entry = tuple[int, ...] | str
@@ -185,7 +185,7 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     if not text:
         raise ValueError("empty permutation text")
     if _PERMUTATION_TEXT.fullmatch(text) is None:
-        raise ValueError(f"malformed permutation text: {clip(repr(text))}")
+        raise ValueError(f"malformed permutation text: {text!r}")
     if "," in text:
         numbers = text.split(",")
         longest = max(map(len, numbers))

@@ -215,15 +215,6 @@ def check_self_duality(n: int) -> VerificationReport:
     return VerificationReport("selfdual", n, poset.size**2, tuple(violations))
 
 
-def _is_unimodal(seq: Sequence[int]) -> bool:
-    i = 0
-    while i + 1 < len(seq) and seq[i] <= seq[i + 1]:
-        i += 1
-    while i + 1 < len(seq) and seq[i] >= seq[i + 1]:
-        i += 1
-    return i == len(seq) - 1
-
-
 def _descent_rank_sizes(n: int) -> tuple[int, ...]:
     """Rank sizes of the descent poset: the census summed by popcount."""
     sizes = [0] * n
@@ -241,12 +232,13 @@ def _refinement_rank_sizes(n: int) -> tuple[int, ...]:
 
 
 def check_rank_statistics(n: int) -> VerificationReport:
-    """Rank sizes of both posets match the Narayana row and each other,
-    and the row is palindromic and unimodal.
+    """Rank sizes of both posets match the Narayana row, and so each other.
 
     The sizes are the posets' rank functions counted without building
     either poset: descent-set sizes weighted by the census, and n - #blocks
-    over the noncrossing partitions.
+    over the noncrossing partitions.  That the row is palindromic and
+    unimodal is a statement about the Narayana numbers alone, which
+    tests/test_verify.py checks through 19 and 16.
     """
     violations: list[str] = []
     sizes_p = _descent_rank_sizes(n)
@@ -256,10 +248,6 @@ def check_rank_statistics(n: int) -> VerificationReport:
         note_violation(violations, f"descent poset rank sizes {sizes_p} != {expected}")
     if sizes_q != expected:
         note_violation(violations, f"refinement poset rank sizes {sizes_q} != {expected}")
-    if sizes_p != tuple(reversed(sizes_p)):
-        note_violation(violations, f"rank sizes {sizes_p} are not palindromic")
-    if not _is_unimodal(sizes_p):
-        note_violation(violations, f"rank sizes {sizes_p} are not unimodal")
     return VerificationReport("ranks", n, 2 * n, tuple(violations))
 
 

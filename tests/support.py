@@ -451,16 +451,6 @@ def brute_max_k_antichain_union(poset, k: int) -> int:
     return best
 
 
-def has_antichain_of_size(poset, members: Sequence[int], k: int) -> bool:
-    for combo in combinations(members, k):
-        if all(
-            not leq(poset, a, b) and not leq(poset, b, a)
-            for a, b in combinations(combo, 2)
-        ):
-            return True
-    return False
-
-
 def reverses_order(poset, mapping: Sequence[int]) -> bool:
     """mapping is a bijection on element indices and i <= j holds exactly
     when mapping[j] <= mapping[i]."""

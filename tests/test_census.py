@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -280,3 +281,17 @@ def test_csv_row_counts():
     for n in range(1, 7):
         lines = census_to_csv(n).strip().split("\n")
         assert len(lines) == 1 + (1 << (n - 1))
+
+
+def test_csv_over_the_cap_raises_before_building_any_text():
+    # the 2^(n-1) descent-set texts were once built before the census's
+    # capacity check, so census --n 40 exhausted memory; at cap + 1 they
+    # alone take megabytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            census_to_csv(CAPACITY["census"] + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000

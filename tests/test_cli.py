@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from catalan_posets import cli
 from catalan_posets.cli import build_parser, main
-from catalan_posets.errors import CAPACITY, clip
+from catalan_posets.errors import CAPACITY
+from catalan_posets.verify import CHECKS, VerificationReport
 
 #: The package's source directory: child interpreters started there
 #: import it without PYTHONPATH.
@@ -195,12 +197,14 @@ def test_limit_usage_error_line_is_short_for_a_long_text(capsys):
         main(["enumerate", "av132", "--n", "3", "--limit", "x" * 20000])
     assert excinfo.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
-    assert last.endswith("... (20002 characters)") and len(last) < 200
+    # N counts the whole message argparse passes to the parser's error
+    message = f"argument --limit: expected a non-negative integer, got '{'x' * 20000}'"
+    assert last.endswith(f"... ({len(message)} characters)") and len(last) < 200
 
 
 def test_checks_usage_error_line_is_short_for_a_long_name(capsys):
-    # a clipped name leaves out the list of known checks, which --help
-    # shows; a name whose repr fits in 60 characters keeps it
+    # a cut line leaves out the list of known checks, which --help shows;
+    # a line that fits keeps it
     def error_line(name):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--checks", name, "--n", "3"])
@@ -211,7 +215,11 @@ def test_checks_usage_error_line_is_short_for_a_long_name(capsys):
 
     long = error_line("x" * 20000)
     assert len(long.encode()) <= 200
-    assert long.endswith("xxx... (20002 characters)") and "known:" not in long
+    message = (
+        f"argument --checks: unknown check '{'x' * 20000}' "
+        "(known: all, coarsening, ranks, lemma, selfdual, sperner)"
+    )
+    assert long.endswith(f"xxx... ({len(message)} characters)") and "known:" not in long
     short = error_line("x" * 58)
     assert short == (
         "catalan-posets verify: error: argument --checks: unknown check "
@@ -238,7 +246,8 @@ def test_n_usage_error_line_is_short_for_a_long_text(capsys, command):
         return [line for line in err.splitlines() if "error:" in line]
 
     (long,) = error_lines("x" * 20000)
-    assert long.endswith("xxx... (20002 characters)")
+    message = f"argument --n: invalid int value: '{'x' * 20000}'"
+    assert long.endswith(f"xxx... ({len(message)} characters)")
     (short,) = error_lines("abc")
     assert short == f"catalan-posets {command[0]}: error: argument --n: invalid int value: 'abc'"
 
@@ -255,7 +264,7 @@ def test_n_usage_error_line_is_short_for_a_long_text(capsys, command):
     ids=["kind", "direction", "family", "format", "command"],
 )
 def test_invalid_choice_error_line_is_short_for_a_long_text(capsys, argv, name, choices):
-    # a clipped text leaves out the list of choices, which --help shows; a
+    # a cut line leaves out the list of choices, which --help shows; a
     # short one keeps argparse's own line
     def error_lines(text):
         with pytest.raises(SystemExit) as excinfo:
@@ -266,17 +275,62 @@ def test_invalid_choice_error_line_is_short_for_a_long_text(capsys, argv, name, 
         return [line for line in err.splitlines() if "error:" in line]
 
     (long,) = error_lines("x" * 20000)
-    assert long.endswith(f"argument {name}: invalid choice: '{'x' * 59}... (20002 characters)")
+    message = f"argument {name}: invalid choice: '{'x' * 20000}' (choose from {choices})"
+    assert f"error: argument {name}: invalid choice: 'xxx" in long
+    assert long.endswith(f"xxx... ({len(message)} characters)")
     (short,) = error_lines("xyz")
     assert short.endswith(f"error: argument {name}: invalid choice: 'xyz' (choose from {choices})")
 
 
-def test_clip_never_lengthens_a_text():
-    for length in range(201):
-        text = "x" * length
-        assert len(clip(text)) <= len(text)
-        if length <= 60:
-            assert clip(text) == text
+def test_error_line_cut_never_lengthens_a_line():
+    # bytes as stderr writes them: UTF-8, a lone surrogate as its escape
+    for char in ("x", "\u00e9", "\U0001f600", "\udcff"):
+        for length in range(251):
+            message = char * length
+            whole = ("error: " + message).encode("utf-8", "backslashreplace")
+            line = cli._error_line("error: ", message)
+            assert len(line.encode()) <= min(len(whole), 198)
+            if len(whole) <= 198:
+                assert line.encode() == whole
+            else:
+                assert line.endswith(f"... ({length} characters)")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["census", "--n", "3", "x" * 20000], 2),
+        (["census", "--n", "3", *["x"] * 20000], 2),
+        (["census", "--n", "3", "\udcff" * 5000], 2),
+        (["\u00e9" * 20000], 2),
+        (["map", "f", "{1," + "\U0001f600" * 20000 + "}"], 1),
+        (["map", "\U0001f600" * 20000, "1"], 2),
+        (["census", "--n", "1" * 4000], 1),
+        (["census", "--n", "3", "x\nerror: y"], 2),
+    ],
+    ids=[
+        "long-extra",
+        "many-extras",
+        "surrogate-extras",
+        "non-ascii-command",
+        "emoji-element",
+        "emoji-direction",
+        "long-n",
+        "line-break",
+    ],
+)
+def test_every_error_is_one_short_line(capsys, argv, code):
+    # stderr holds the usage, for a usage error, then one error line
+    if code == 2:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+    else:
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and [line for line in lines if "error:" in line] == lines[-1:]
+    assert all(len(line.encode()) <= 198 for line in lines)
 
 
 def _no_terminal(fd=1):
@@ -386,6 +440,41 @@ def test_verify_explicit_over_cap(capsys):
     assert code == 1
     assert out == ""
     assert f"supports n up to {cap}" in err
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_each_named_check_over_its_cap_is_a_capacity_error(capsys, name):
+    # at cap + 1 only run_checks' own guard stops all but selfdual
+    cap = CAPACITY["check " + name]
+    code, out, err = run_cli(capsys, "verify", "--checks", name, "--n", str(cap + 1))
+    assert (code, out) == (1, "")
+    assert err == f"error: check {name} supports n up to {cap}, got {cap + 1}\n"
+
+
+def test_failed_check_exits_1_and_prints_its_violations(capsys, monkeypatch):
+    def failing(n):
+        return VerificationReport("ranks", n, 2 * n, ("sizes differ", "rows differ"))
+
+    monkeypatch.setitem(CHECKS, "ranks", (failing,))
+    code, out, err = run_cli(capsys, "verify", "--checks", "lemma,ranks", "--n", "5")
+    assert code == 1
+    assert out == (
+        "lemma n=5: examined=16 pass\n"
+        "ranks n=5: examined=10 FAIL\n"
+        "  violation: sizes differ\n"
+        "  violation: rows differ\n"
+    )
+    assert re.fullmatch(r"lemma n=5: \d+\.\d{3}s\nranks n=5: \d+\.\d{3}s\n", err)
+
+
+@pytest.mark.parametrize("checks", [",", " , ,"])
+def test_empty_checks_is_usage_error(capsys, checks):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--checks", checks, "--n", "3"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "catalan-posets verify: error: argument --checks: no checks given"
+    )
 
 
 def test_verify_unknown_check_is_usage_error(capsys):

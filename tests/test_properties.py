@@ -1,11 +1,17 @@
+import contextlib
+import io
+import os
 import random
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import support
 from catalan_posets.bijection import image_descent_mask, ncp_to_perm, perm_to_ncp
 from catalan_posets.census import count_by_descent_set
+from catalan_posets.cli import main
+from catalan_posets.errors import CAPACITY
 from catalan_posets.partitions import (
     SetPartition,
     enumerate_ncp,
@@ -131,3 +137,109 @@ def test_descent_order_antisymmetry_via_bijection(qa, qb):
     assert support.leq(poset, a, a)
     if a != b and support.leq(poset, a, b):
         assert not support.leq(poset, b, a)
+
+
+EMOJI = "\U0001f600"
+#: Texts that make an error line long, non-ASCII or multi-line, and lone
+#: surrogates, which stand for the undecodable bytes of an argument.
+HARD_TEXTS = [
+    "x" * 20000,
+    "\u00e9" * 20000,
+    EMOJI * 300,
+    "\udcff" * 5000,
+    "1" * 4000,
+    "x\nerror: y",
+    "{1," + EMOJI * 20000 + "}",
+    ",".join(map(str, range(1, 20001))),
+]
+texts = st.one_of(
+    st.sampled_from(HARD_TEXTS),
+    st.text(max_size=6),
+    st.text(st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF), min_size=1, max_size=3),
+)
+VALID_ELEMENTS = ["{1,4,6}/{2,3}/{5}/{7,8}", "64573812", "6,4,5,7,3,8,1,2", "{1}", "1"]
+
+
+def mostly(valid, other=texts):
+    """One of the valid values nine times in ten, else one of other."""
+    return st.integers(0, 9).flatmap(lambda k: st.sampled_from(valid) if k else other)
+
+
+@st.composite
+def near_misses(draw):
+    text = draw(st.sampled_from(VALID_ELEMENTS))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from("{}/,0132x ")) + text[at + 1 :]
+
+
+elements = mostly(
+    [*VALID_ELEMENTS, "132", "{1,3}/{2,4}", "{1}/{1}", ""], st.one_of(near_misses(), texts)
+)
+#: The caps each command's --n reaches: its own, or those of the checks.
+CAPS = {
+    "enumerate": [CAPACITY["enumeration"]],
+    "poset": [CAPACITY["poset construction"]],
+    "census": [CAPACITY["census"]],
+    "verify": sorted({cap for name, cap in CAPACITY.items() if name.startswith("check ")}),
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv for main, options in any order, and a text for stdin."""
+    command = draw(mostly(["enumerate", "map", "poset", "census", "verify"]))
+    caps = CAPS.get(command, [])
+    n = mostly(
+        ["1", "2", "3", "4", *(str(cap + step) for cap in caps for step in (-1, 1))],
+        st.one_of(st.sampled_from(["0", "-1", "x", "", " 3", "\u0663"]), texts),
+    )
+    output = ["--output", draw(st.sampled_from([os.devnull, os.path.join(os.devnull, "x")]))]
+    required, optional = [], []  # option groups, each a list of tokens
+    if command == "enumerate":
+        required = [[draw(mostly(["av132", "ncp"]))], ["--n", draw(n)]]
+        limit = draw(mostly(["0", "2", "5"], st.sampled_from(["-1", "x"])))
+        optional = [["--limit", limit], output]
+    elif command == "map":
+        required = [[draw(mostly(["f", "finv"]))], [draw(mostly(["-"], elements))]]
+    elif command == "poset":
+        family, text_format = draw(mostly(["P", "Q"])), draw(mostly(["dot", "json"]))
+        required = [[family], ["--n", draw(n)], ["--format", text_format]]
+        optional = [output]
+    elif command == "census":
+        required, optional = [["--n", draw(n)]], [output]
+    elif command == "verify":
+        checks = draw(mostly(["all", "lemma,ranks", "sperner"], st.sampled_from([",", "x"])))
+        required, optional = [["--n", draw(n)]], [["--checks", checks]]
+    kept = [group for group in required if draw(st.integers(0, 9))]
+    kept += [group for group in optional if draw(st.booleans())]
+    flags = mostly(["-h", "--n", "--bogus"])
+    extras = draw(mostly([()], st.lists(flags, min_size=1, max_size=2)))
+    groups = draw(st.permutations([*kept, *([extra] for extra in extras)]))
+    argv = [command, *(token for group in groups for token in group)]
+    return argv, draw(elements)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@example((["census", "--n", "3", "x" * 20000], ""))
+@example((["map", "f", "{1," + EMOJI * 20000 + "}"], ""))
+@given(cli_calls())
+def test_cli_ends_in_output_or_one_short_error_line(call):
+    argv, stdin = call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch("sys.stdin", io.StringIO(stdin)):
+            try:
+                code = main(argv)
+            except SystemExit as exit:
+                code = exit.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert sum("error:" in line for line in lines) <= 1
+    # bytes as stderr writes them: UTF-8, a lone surrogate as its escape
+    assert all(len(line.encode("utf-8", "backslashreplace")) < 200 for line in lines)
