@@ -26,17 +26,38 @@ from .permutations import _join_permutation, descent_mask, enumerate_av132
 
 
 _ONE = re.compile("1")
+#: iter_bits lists a row with fewer set bits than this bit by bit.
+_FEW_BITS = 16
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, lowest first: one scan of the binary digits,
-    reversed so that a digit's offset is its bit index, in place of
-    full-width integer operations per set bit.  An empty row, which the
-    checks meet on nearly every call, returns before any conversion."""
-    if not mask:
+    """Indices of set bits, lowest first.
+
+    A row with fewer than _FEW_BITS set bits is listed bit by bit (take
+    the lowest set bit, clear it), a few full-width integer operations
+    per set bit; any other row by one scan of its binary digits, reversed
+    so that a digit's offset is its bit index, at a cost that follows the
+    width.  The rule is a count of set bits, not a share of the width,
+    because that is where the two routes cross: timed over random rows 8
+    to 40,000 bits wide (Python 3.11, shared 2-vCPU machine), bit by bit
+    is the faster one below about 16 set bits at every width and the
+    slower one above about 32.  So Q's sparse cover rows go bit by bit
+    (all of Q8's, 1,430 bits wide with 5.6 set on average, in 1.8-3.9 ms
+    in place of 6.4-7.5 ms), while P's dense rows keep the scan.  An
+    empty row returns at once; a negative mask is no bit row and raises
+    ValueError."""
+    if mask <= 0:
+        if mask:
+            raise ValueError("a bit row cannot be negative")
         return
-    for digit in _ONE.finditer(bin(mask)[:1:-1]):
-        yield digit.start()
+    if mask.bit_count() < _FEW_BITS:
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+    else:
+        for digit in _ONE.finditer(bin(mask)[:1:-1]):
+            yield digit.start()
 
 
 def properly_inside(masks: Sequence[int], width: int) -> list[int]:
@@ -184,6 +205,27 @@ def build_refinement_poset(n: int) -> GradedPoset:
     return GradedPoset("Q", n, elements, ranks, leq_rows, _cover_rows(ranks, leq_rows))
 
 
+def _labels(poset: GradedPoset) -> list[str]:
+    """poset.label(i) for every element, in order.  A partition's label
+    joins its blocks' texts, and each distinct block's text is written
+    once per call: Q8's 1,430 labels hold 6,435 blocks, of 255 texts.
+    Like label, this goes by each element's type, not by the family."""
+    texts: dict[tuple[int, ...], str] = {}
+    labels = []
+    for element in poset.elements:
+        if isinstance(element, SetPartition):
+            parts = []
+            for block in element.blocks:
+                text = texts.get(block)
+                if text is None:
+                    text = texts[block] = ",".join(map(str, block))
+                parts.append(text)
+            labels.append("{" + "}/{".join(parts) + "}")
+        else:
+            labels.append(_join_permutation(element))
+    return labels
+
+
 def _listed_rows(poset: GradedPoset, names: Sequence[str]) -> Iterator[list[str]]:
     """Per element, names[j] for each j in its cover row, lowest j first.
 
@@ -211,7 +253,7 @@ def iter_poset_json(poset: GradedPoset) -> Iterator[str]:
     escapes.  Each distinct cover row's upper indices are listed as text
     once, by _listed_rows.
     """
-    labels = '",\n    "'.join(poset.label(i) for i in range(poset.size))
+    labels = '",\n    "'.join(_labels(poset))
     ranks = ",\n    ".join(map(str, poset.rank_sizes()))
     yield (
         f'{{\n  "n": {poset.n},\n  "family": "{poset.family}",\n'
@@ -236,7 +278,7 @@ def iter_poset_json(poset: GradedPoset) -> Iterator[str]:
 def iter_poset_dot(poset: GradedPoset) -> Iterator[str]:
     """The Graphviz text of poset_to_dot, one cover row per chunk; each
     distinct cover row's upper labels are listed once, by _listed_rows."""
-    labels = [poset.label(i) for i in range(poset.size)]
+    labels = _labels(poset)
     layers: list[list[str]] = [[] for _ in range(poset.height)]
     for label, r in zip(labels, poset.ranks):
         layers[r].append(f'"{label}";')

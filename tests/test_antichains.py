@@ -146,6 +146,30 @@ def test_max_antichain_elements_certified():
                         assert not support.leq(poset, a, b)
 
 
+def test_certificate_rejects_a_matching_that_is_not_maximum(monkeypatch):
+    # with one pair of a maximum matching dropped, one more chain starts
+    # than any antichain can meet
+    def drop_one_pair(adjacency, right_size, start=None):
+        match_left, match_right = hopcroft_karp(adjacency, right_size, start)
+        u, v = next((u, v) for u, v in enumerate(match_left) if v != -1)
+        match_left[u] = match_right[v] = -1
+        return match_left, match_right
+
+    monkeypatch.setattr(antichains, "hopcroft_karp", drop_one_pair)
+    with pytest.raises(RuntimeError, match="antichain size disagrees with the matching bound"):
+        max_antichain(build_descent_poset(4))
+
+
+def test_certificate_rejects_a_listing_that_is_not_an_antichain(monkeypatch):
+    # P2 is the chain 12 < 21, whose certified antichain is {21}; an
+    # iter_bits that lists each bit one place low names 12 in its place
+    monkeypatch.setattr(
+        antichains, "iter_bits", lambda mask: [j - 1 for j in support.iter_bits(mask)]
+    )
+    with pytest.raises(RuntimeError, match="selected elements are not pairwise incomparable"):
+        max_antichain(build_descent_poset(2))
+
+
 def test_profile_is_a_partition_of_the_size():
     for n in range(1, 8):
         for poset in both_posets(n):

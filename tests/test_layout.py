@@ -13,6 +13,10 @@ the code in ``benchmarks/``; a plain name such as a local variable does
 not count.  A method that overrides one of a base class from outside the
 package, such as ``argparse.ArgumentParser.error``, is read by that
 base's own code and is exempt.
+
+Every function in ``tests/support.py`` is read by a test module, as
+``support.name`` or through ``from support import name``, or is called
+by a support function that is.
 """
 
 import ast
@@ -25,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "catalan_posets"
+TESTS = ROOT / "tests"
 
 
 def defined_names(statement):
@@ -162,6 +167,58 @@ def test_only_an_override_of_an_outside_base_is_exempt():
     assert "error" in [getattr(node, "name", None) for node in parser.body]
     parser.body.append(ast.parse("def frobnicate(self):\n    pass\n").body[0])
     assert unread_public_methods(trees) == ["_Parser.frobnicate"]
+
+
+def support_reads(tree):
+    """The names the code in tree reads from support: support.name, or
+    from support import name."""
+    reads = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "support"
+        ):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "support":
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def unread_support_functions(support, tests):
+    """Functions of support, the parsed support module, that none of the
+    parsed test modules reads, directly or through support functions."""
+    functions = {
+        node.name: node for node in support.body if isinstance(node, ast.FunctionDef)
+    }
+    reached = set().union(*map(support_reads, tests))
+    pending = list(reached)
+    while pending:
+        function = functions.get(pending.pop())
+        if function is not None:
+            called = used_names(function) - reached
+            reached |= called
+            pending.extend(called)
+    return [name for name in functions if name not in reached]
+
+
+def test_every_support_function_is_read_by_a_test():
+    support = ast.parse((TESTS / "support.py").read_text())
+    tests = [ast.parse(path.read_text()) for path in sorted(TESTS.glob("test_*.py"))]
+    assert unread_support_functions(support, tests) == []
+
+
+def test_a_support_function_that_no_test_reads_is_flagged():
+    support = ast.parse(
+        "def oracle():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def orphan():\n    return helper()\n"
+    )
+    tests = [ast.parse("import support\n\ndef test_x():\n    assert support.oracle()\n")]
+    # helper is read through oracle; orphan's own call reaches nothing
+    assert unread_support_functions(support, tests) == ["orphan"]
+    tests.append(ast.parse("from support import orphan\n"))
+    assert unread_support_functions(support, tests) == []
 
 
 #: Standard modules that cost start-up time and that the package has no

@@ -9,10 +9,16 @@ import support
 from catalan_posets.bijection import ncp_to_perm
 from catalan_posets.cli import main
 from catalan_posets.errors import CAPACITY, CapacityError
-from catalan_posets.partitions import SetPartition, enumerate_ncp, format_partition
+from catalan_posets.partitions import (
+    SetPartition,
+    enumerate_ncp,
+    format_partition,
+    parse_partition,
+)
 from catalan_posets.permutations import descent_mask, enumerate_av132, format_permutation
 from catalan_posets.poset import (
     GradedPoset,
+    _labels,
     build_descent_poset,
     build_refinement_poset,
     iter_bits,
@@ -309,6 +315,55 @@ def test_export_lists_each_row_by_its_whole_value():
     ]
 
 
+def _unordered(family, elements):
+    """The antichain on elements: a poset whose labels are all that counts."""
+    size = len(elements)
+    return GradedPoset(
+        family, size, tuple(elements), (0,) * size, tuple(1 << i for i in range(size)), (0,) * size
+    )
+
+
+#: Hand-built posets for _labels.  Their families do not name their element
+#: type (tuples under "Q", partitions under "P", both under "hand"), since
+#: a label goes by its element's type alone.
+HAND_LABELLED = {
+    "one-tuples": lambda: _unordered("hand", [(i + 1,) for i in range(70)]),
+    "long-tuples": lambda: _unordered(
+        "Q", [tuple(range(k, 0, -1)) for k in (10, 11, 12)] + [(2, 1, *range(3, 13))]
+    ),
+    "shared-blocks": lambda: _unordered(
+        "P",
+        [
+            parse_partition(text)
+            for text in (
+                "{1,2}/{3}/{4}",
+                "{1,2}/{3,4}",
+                "{3,4}/{1,2}",
+                "{1,3}/{2,4}",
+                "{1,12}/{2,3,4,5,6,7,8,9,10,11}",
+                "{1,12}/{2,3}/{4,5,6,7,8,9,10,11}",
+                "{1}/{2,3}/{4,5,6,7,8,9,10,11}/{12}",
+            )
+        ],
+    ),
+    "mixed": lambda: _unordered("hand", [(2, 1), parse_partition("{1}/{2}"), (1,)]),
+}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda n=n, build=build: build(n), id=f"{family}{n}")
+        for family, build in (("P", build_descent_poset), ("Q", build_refinement_poset))
+        for n in range(1, CAPACITY["poset construction"] + 1)
+    ]
+    + [pytest.param(make, id=name) for name, make in HAND_LABELLED.items()],
+)
+def test_bulk_labels_are_the_labels(make):
+    poset = make()
+    assert _labels(poset) == [poset.label(i) for i in range(poset.size)]
+
+
 class _Sink:
     def write(self, text):
         return len(text)
@@ -350,6 +405,13 @@ def test_coarsening_via_bijection_on_refinement_covers():
             d_coarse = descent_mask(ncp_to_perm(parts[upper]))
             assert d_coarse != d_fine
             assert d_coarse & ~d_fine == 0
+
+
+@pytest.mark.parametrize("mask", [-1, -5, -(1 << 70), -((1 << 5000) - 1)])
+def test_iter_bits_rejects_a_negative_mask(mask):
+    # listed bit by bit, a negative mask would never run out of set bits
+    with pytest.raises(ValueError, match="cannot be negative"):
+        list(iter_bits(mask))
 
 
 def test_iter_bits_matches_reference():

@@ -24,7 +24,8 @@ from catalan_posets.permutations import (
     parse_permutation,
     reverse_complement_mask,
 )
-from catalan_posets.poset import build_descent_poset
+from catalan_posets import poset as poset_module
+from catalan_posets.poset import _FEW_BITS, build_descent_poset, iter_bits
 
 sizes = st.integers(min_value=1, max_value=16)
 
@@ -64,6 +65,39 @@ NCP_BY_SIZE = {n: list(enumerate_ncp(n)) for n in range(1, 9)}
 def random_noncrossing(draw):
     n = draw(st.integers(min_value=1, max_value=8))
     return draw(st.sampled_from(NCP_BY_SIZE[n]))
+
+
+@st.composite
+def bit_rows(draw):
+    """A row up to 3,000 bits wide: full, or with a drawn number of set
+    bits, that number often next to or at iter_bits' route boundary, or
+    all bits set but that number."""
+    width = draw(st.integers(min_value=1, max_value=3000))
+    full = (1 << width) - 1
+    shape = draw(st.sampled_from(["sparse", "full", "nearly full"]))
+    if shape == "full":
+        return full
+    boundary = st.sampled_from([_FEW_BITS - 1, _FEW_BITS, _FEW_BITS + 1])
+    count = min(width, draw(boundary | st.integers(min_value=0, max_value=40)))
+    row = sum(1 << b for b in draw(st.randoms()).sample(range(width), count))
+    return row if shape == "sparse" else full ^ row
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@example(0)
+@example(1 << 64)
+@example(1 << 4999)
+@example(((1 << (_FEW_BITS - 1)) - 1) << 70)
+@example(((1 << _FEW_BITS) - 1) << 70)
+@example(((1 << (_FEW_BITS + 1)) - 1) << 70)
+@example((1 << 5000) - 1)
+@given(bit_rows())
+def test_iter_bits_lists_the_set_bits_by_the_route_its_count_picks(row):
+    scan = mock.Mock(wraps=poset_module._ONE)
+    with mock.patch.object(poset_module, "_ONE", scan):
+        assert list(iter_bits(row)) == list(support.iter_bits(row))
+    # rows of fewer than _FEW_BITS set bits go bit by bit, without the scan
+    assert scan.finditer.called == (row.bit_count() >= _FEW_BITS)
 
 
 @given(masked_sizes())
