@@ -1,9 +1,9 @@
-"""Antichain extremes of a graded poset.
+"""Antichain extremes of a finite poset, read off its order rows.
 
 Width comes from the matching side of Dilworth's theorem: a maximum
 matching on the split bipartite graph of strict comparabilities yields a
-minimum chain cover, and unreachable/reachable sides of the final
-alternating search certify a maximum antichain of the same size.
+minimum chain cover, and the unreachable/reachable sides of the matching's
+last alternating search certify a maximum antichain of the same size.
 
 The largest union of k antichains of P is the width of P x C_k, where
 C_k is a k-element chain (Saks 1979), so the same matching finds it.  A
@@ -30,10 +30,15 @@ def _strict_rows(poset: GradedPoset) -> list[int]:
 
 def hopcroft_karp(
     adjacency: Sequence[int], right_size: int, start: Sequence[int] | None = None
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[int], int, int]:
     """Maximum matching in a bipartite graph; adjacency[u] is a bitmask of
-    right-side neighbors.  Returns (match_left, match_right), -1 meaning
-    unmatched.
+    right-side neighbors.  Returns (match_left, match_right, reached_left,
+    reached_right): -1 means unmatched, and the last two are the bit rows
+    of the vertices that the final phase's alternating search reached
+    from the free left vertices, the search that found no augmenting
+    path.  By Konig's theorem, the unreached left vertices and the
+    reached right ones cover every edge, and they number the matching's
+    size.
 
     start, if given, is a matching to grow, in the form of match_left;
     each of its pairs must be an edge, and no right vertex may be taken
@@ -70,11 +75,12 @@ def hopcroft_karp(
         # targets[d]: right vertices a path may take from left layer d;
         # the last entry holds the free ones, where paths end
         targets: list[int] = []
-        seen = 0
+        seen = reached = 0
         frontier = roots
         while frontier:
             reach = 0
             for u in frontier:
+                reached |= 1 << u
                 reach |= adjacency[u]
             reach &= ~seen
             seen |= reach
@@ -84,7 +90,7 @@ def hopcroft_karp(
             targets.append(reach)
             frontier = [match_right[v] for v in iter_bits(reach)]
         else:
-            return match_left, match_right
+            return match_left, match_right, reached, seen
         last = len(targets) - 1
         for root in roots:
             path = [root]
@@ -119,31 +125,15 @@ def _certified_antichain(
     are given (strict[x] is the bitmask of elements above x), and the
     maximum matching it came from, grown from start by hopcroft_karp.
 
-    The alternating search from unmatched chain starts splits the split
-    graph into reachable and unreachable sides; elements whose left copy
-    is reachable and right copy is not form an antichain matching the
-    chain-cover bound, which certifies maximality.  The search is layered
-    by whole rows, as in hopcroft_karp: the strict rows of a frontier of
-    left copies are ORed together, the right copies not yet reached are
-    listed once, and their matched partners form the next frontier.  A
-    matched left copy is reached only through its own right partner, so
-    no left copy enters twice.  The certificate is re-checked before
-    returning.
+    The certificate is read off the matching's last alternating search:
+    elements whose left copy it reached and whose right copy it did not
+    form an antichain as large as the chain-cover bound, one chain per
+    unmatched left copy, which certifies maximality.  Both facts are
+    re-checked before returning.
     """
-    size = len(strict)
-    match_left, match_right = hopcroft_karp(strict, size, start)
+    match_left, _, reached_left, reached_right = hopcroft_karp(strict, len(strict), start)
     # one chain of the minimum cover starts at each unmatched left copy
-    frontier = [u for u in range(size) if match_left[u] == -1]
-    target = len(frontier)
-    reached_left = reached_right = 0
-    while frontier:
-        reach = 0
-        for u in frontier:
-            reached_left |= 1 << u
-            reach |= strict[u]
-        reach &= ~reached_right
-        reached_right |= reach
-        frontier = [w for v in iter_bits(reach) if (w := match_right[v]) != -1]
+    target = match_left.count(-1)
     chosen = reached_left & ~reached_right
     antichain = tuple(iter_bits(chosen))
     if len(antichain) != target:
@@ -182,7 +172,7 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
     started from the matching of P x C_(k-1), with its antichain
     certificate re-checked, for k = 1, 2, ... until
     a_k is the element count or an increment is 1 (all later ones are
-    then 1).  The ranks must grade the order (checked first).
+    then 1).
 
     >>> from .poset import build_descent_poset
     >>> chain_cover_profile(build_descent_poset(4)) == (4, 2, 2, 2, 2, 2)
@@ -190,15 +180,6 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
     """
     size = poset.size
     strict = _strict_rows(poset)
-    at_most = [0] * (max(poset.ranks, default=-1) + 1)
-    for i, r in enumerate(poset.ranks):
-        at_most[r] |= 1 << i
-    for r in range(1, len(at_most)):
-        at_most[r] |= at_most[r - 1]
-    if any(strict[i] & at_most[r] for i, r in enumerate(poset.ranks)):
-        raise ValueError(
-            "ranks do not grade the order: some element is below one of no higher rank"
-        )
     # bit block b of P x C_k holds a copy of P that lies below blocks
     # 0 .. b - 1; each k adds a block at the bottom, so the rows of the
     # blocks already built stay as they are, and so does their matching,

@@ -75,12 +75,11 @@ class SetPartition(namedtuple("SetPartition", "n blocks")):
         return cls(*fields)
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> SetPartition:
-        """Canonicalize arbitrary block order and validate."""
+    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> SetPartition:
+        """Canonicalize arbitrary block order and validate; n is the number
+        of elements the blocks hold."""
         canonical = tuple(sorted(tuple(sorted(block)) for block in blocks))
-        if n is None:
-            n = sum(len(block) for block in canonical)
-        return cls(n, canonical)
+        return cls(sum(map(len, canonical)), canonical)
 
     def __str__(self) -> str:
         return format_partition(self)

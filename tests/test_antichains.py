@@ -27,12 +27,12 @@ def k_antichain_union(poset, k):
 
 def test_hopcroft_karp_tiny():
     # left 0 sees right {0,1}, left 1 sees right {0}: perfect matching
-    match_left, match_right = hopcroft_karp([0b11, 0b01], 2)
+    match_left, match_right, _, _ = hopcroft_karp([0b11, 0b01], 2)
     assert sorted(match_left) == [0, 1]
     for u, v in enumerate(match_left):
         assert match_right[v] == u
     # forced collision: both lefts see only right 0
-    match_left, _ = hopcroft_karp([0b01, 0b01], 1)
+    match_left, _, _, _ = hopcroft_karp([0b01, 0b01], 1)
     assert sum(1 for v in match_left if v != -1) == 1
 
 
@@ -44,7 +44,7 @@ def path_graph(size):
 
 def checked_matching_size(adjacency, right_size, start=None):
     """Size of hopcroft_karp's matching after checking it edge by edge."""
-    match_left, match_right = hopcroft_karp(adjacency, right_size, start)
+    match_left, match_right, _, _ = hopcroft_karp(adjacency, right_size, start)
     size = 0
     for u, v in enumerate(match_left):
         if v != -1:
@@ -103,13 +103,31 @@ def test_hopcroft_karp_grows_any_starting_matching_to_a_maximum():
     rng = random.Random(17)
     for adjacency, right_size in bipartite_inputs():
         # a random part of a maximum matching, as a warm start
-        best, _ = hopcroft_karp(adjacency, right_size)
+        best, _, _, _ = hopcroft_karp(adjacency, right_size)
         start = [v if rng.random() < 0.5 else -1 for v in best]
         size = checked_matching_size(adjacency, right_size, start)
         assert size == sum(1 for v in best if v != -1)
         # augmenting paths keep every matched left vertex matched
-        grown, _ = hopcroft_karp(adjacency, right_size, start)
+        grown, _, _, _ = hopcroft_karp(adjacency, right_size, start)
         assert all(g != -1 for s, g in zip(start, grown) if s != -1)
+
+
+def test_last_search_reaches_a_konig_cover():
+    # the left vertices the last search missed and the right ones it
+    # reached cover every edge, and they are as many as the matched pairs
+    rng = random.Random(19)
+    for adjacency, right_size in bipartite_inputs():
+        best, _, _, _ = hopcroft_karp(adjacency, right_size)
+        for start in None, [v if rng.random() < 0.5 else -1 for v in best]:
+            match_left, _, reached_left, reached_right = hopcroft_karp(
+                adjacency, right_size, start
+            )
+            missed_left = ((1 << len(adjacency)) - 1) & ~reached_left
+            assert reached_right < 1 << right_size
+            for u, row in enumerate(adjacency):
+                assert missed_left >> u & 1 or not row & ~reached_right
+            matched = sum(1 for v in match_left if v != -1)
+            assert missed_left.bit_count() + reached_right.bit_count() == matched
 
 
 def test_hopcroft_karp_rejects_a_start_that_is_not_a_matching():
@@ -117,8 +135,9 @@ def test_hopcroft_karp_rejects_a_start_that_is_not_a_matching():
     for start in ([1, -1], [0, 0], [-1], [-1, -1, -1]):
         with pytest.raises(ValueError):
             hopcroft_karp(adjacency, 2, start)
-    # the one augmenting path re-routes the starting pair
-    assert hopcroft_karp(adjacency, 2, [-1, 0]) == ([0, 1], [0, 1])
+    # the one augmenting path re-routes the starting pair; the last search
+    # then starts from no free left vertex and reaches nothing
+    assert hopcroft_karp(adjacency, 2, [-1, 0]) == ([0, 1], [0, 1], 0, 0)
 
 
 def test_width_matches_subset_bruteforce():
@@ -150,10 +169,10 @@ def test_certificate_rejects_a_matching_that_is_not_maximum(monkeypatch):
     # with one pair of a maximum matching dropped, one more chain starts
     # than any antichain can meet
     def drop_one_pair(adjacency, right_size, start=None):
-        match_left, match_right = hopcroft_karp(adjacency, right_size, start)
+        match_left, match_right, *reached = hopcroft_karp(adjacency, right_size, start)
         u, v = next((u, v) for u, v in enumerate(match_left) if v != -1)
         match_left[u] = match_right[v] = -1
-        return match_left, match_right
+        return match_left, match_right, *reached
 
     monkeypatch.setattr(antichains, "hopcroft_karp", drop_one_pair)
     with pytest.raises(RuntimeError, match="antichain size disagrees with the matching bound"):
@@ -263,17 +282,39 @@ def test_profile_at_eight_is_the_conjugate_of_the_rank_sizes():
         assert chain_cover_profile(poset) == conjugate
 
 
-def test_profile_rejects_ranks_that_do_not_grade_the_order():
+def test_profile_ignores_ranks_that_do_not_grade_the_order():
+    # the profile reads the order rows alone, so wrong ranks change nothing
     p4 = build_descent_poset(4)
     reversed_ranks = tuple(p4.height - 1 - r for r in p4.ranks)
+    assert chain_cover_profile(p4._replace(ranks=reversed_ranks)) == (4, 2, 2, 2, 2, 2)
     # a 3-chain listed top first: element 0 is the top, 2 the bottom
     chain_rows = (0b001, 0b011, 0b111)
     chain_covers = (0, 0b001, 0b010)
     upside_down = GradedPoset("chain", 3, (0, 1, 2), (0, 1, 2), chain_rows, chain_covers)
-    for poset in p4._replace(ranks=reversed_ranks), upside_down:
-        with pytest.raises(ValueError, match="ranks do not grade the order"):
-            chain_cover_profile(poset)
+    assert chain_cover_profile(upside_down) == (3,)
     assert chain_cover_profile(upside_down._replace(ranks=(2, 1, 0))) == (3,)
+
+
+def test_profile_rejects_increments_that_are_not_a_partition(monkeypatch):
+    # P4's k-antichain unions are 6, 12, 13: a stale antichain for k = 2
+    # gains nothing, and a cut one for k = 1 makes k = 2 gain more
+    certified = antichains._certified_antichain
+    for fault in "stale", "cut":
+        found = []
+
+        def faulty(strict, start=None):
+            antichain, match_left = certified(strict, start)
+            if fault == "stale" and len(found) == 1:
+                antichain = found[0]
+            elif fault == "cut" and not found:
+                antichain = antichain[:2]
+            found.append(antichain)
+            return antichain, match_left
+
+        monkeypatch.setattr(antichains, "_certified_antichain", faulty)
+        with pytest.raises(RuntimeError, match="increments are not a nonincreasing partition"):
+            chain_cover_profile.__wrapped__(build_descent_poset(4))
+        assert len(found) == 2, fault
 
 
 def test_chain_union_sums_match_maximal_chain_bruteforce():

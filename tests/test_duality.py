@@ -69,6 +69,21 @@ def test_rejects_refinement_poset():
         construct_antiautomorphism(build_refinement_poset(3))
 
 
+def test_classes_of_unequal_sizes_fail_the_pairing_and_its_report(monkeypatch):
+    # the class of the empty set merged into that of the full set, whose
+    # partner class is then empty
+    masks = verify._descent_masks
+    monkeypatch.setattr(
+        verify, "_descent_masks", lambda n: tuple(m or (1 << (n - 1)) - 1 for m in masks(n))
+    )
+    line = "descent classes of masks 0b111 and 0b0 have sizes 2 and 0 for n=4"
+    with pytest.raises(RuntimeError, match=line):
+        construct_antiautomorphism(build_descent_poset(4))
+    report = check_self_duality(4)
+    assert report.summary_line() == "selfdual n=4: examined=0 FAIL"
+    assert report.violations == (line,)
+
+
 def test_verify_rejects_non_bijection():
     poset = build_descent_poset(3)
     assert not support.reverses_order(poset, (0, 0, 1, 2, 3))

@@ -17,6 +17,13 @@ base's own code and is exempt.
 Every function in ``tests/support.py`` is read by a test module, as
 ``support.name`` or through ``from support import name``, or is called
 by a support function that is.
+
+Every default parameter of a function in ``src`` is overridden by some
+call in ``src``, ``tests`` or ``benchmarks``, positionally or by
+keyword; a default that no call changes is a constant that the signature
+dresses up as an option.  Calls are matched by the name they call
+(``f(...)`` or ``x.f(...)``), and one that unpacks ``*args`` or
+``**kwargs`` counts as passing every position or keyword.
 """
 
 import ast
@@ -219,6 +226,75 @@ def test_a_support_function_that_no_test_reads_is_flagged():
     assert unread_support_functions(support, tests) == ["orphan"]
     tests.append(ast.parse("from support import orphan\n"))
     assert unread_support_functions(support, tests) == []
+
+
+def defaulted_parameters(tree):
+    """(function name, position, parameter name) for each parameter with a
+    default of each function in tree; position counts the arguments a
+    call passes, so a method's self or cls is not one, and is None for a
+    keyword-only parameter."""
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = (args.posonlyargs + args.args)[id(node) in methods :]
+            first = len(positional) - len(args.defaults)
+            for position, arg in enumerate(positional[first:], first):
+                yield node.name, position, arg.arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, None, arg.arg
+
+
+def passed_arguments(tree):
+    """(called name, position or keyword) for each argument that a call in
+    tree passes; "*" and None stand for an unpacked *args and **kwargs."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for position, arg in enumerate(node.args):
+                yield name, "*" if isinstance(arg, ast.Starred) else position
+            for keyword in node.keywords:
+                yield name, keyword.arg
+
+
+def unoverridden_defaults(defining, calling):
+    """name(parameter) for each defaulted parameter of the functions in the
+    defining trees that no call in the calling trees passes."""
+    passed = {pair for tree in calling for pair in passed_arguments(tree)}
+    return [
+        f"{name}({parameter})"
+        for tree in defining
+        for name, position, parameter in defaulted_parameters(tree)
+        if not {(name, position), (name, parameter), (name, "*"), (name, None)} & passed
+    ]
+
+
+def test_every_default_parameter_in_src_is_overridden_by_a_call():
+    paths = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
+    calling = [ast.parse(path.read_text(), str(path)) for path in sorted(paths)]
+    assert unoverridden_defaults(package_trees().values(), calling) == []
+
+
+def test_a_default_that_no_call_overrides_is_flagged():
+    defining = ast.parse(
+        "def grow(rows, start=None, *, limit=3):\n    return rows\n"
+        "class Box:\n    @classmethod\n    def make(cls, parts, n=None):\n"
+        "        return cls(parts)\n"
+        "    @staticmethod\n    def mend(parts, n=None):\n        return parts\n"
+    )
+    calling = [ast.parse("grow([1])\ngrow([1], [0])\nBox.make(parts=[2])\nBox.mend([2], 1)\n")]
+    # make's second argument is n, as cls is bound; mend binds nothing
+    assert unoverridden_defaults([defining], calling) == ["grow(limit)", "make(n)"]
+    calling.append(ast.parse("grow([], limit=4)\nBox.make(*([2], 8))\n"))
+    assert unoverridden_defaults([defining], calling) == []
 
 
 #: Standard modules that cost start-up time and that the package has no

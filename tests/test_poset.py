@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 import support
+from catalan_posets import poset as poset_module
 from catalan_posets.bijection import ncp_to_perm
 from catalan_posets.cli import main
 from catalan_posets.errors import CAPACITY, CapacityError
@@ -393,6 +394,18 @@ def test_capacity_bounds():
         build_refinement_poset(CAPACITY["poset construction"] + 1)
     with pytest.raises(CapacityError):
         build_descent_poset(0)
+
+
+def test_descent_builder_rejects_a_table_without_every_descent_set(monkeypatch):
+    # a table with the class of mask 0b10 merged into that of mask 0b01
+    masks = poset_module._descent_masks
+
+    def merged(n):
+        return tuple(0b01 if m == 0b10 else m for m in masks(n))
+
+    monkeypatch.setattr(poset_module, "_descent_masks", merged)
+    with pytest.raises(RuntimeError, match=r"a descent set of \[4\] has no 132-avoiding"):
+        build_descent_poset.__wrapped__(4)
 
 
 def test_coarsening_via_bijection_on_refinement_covers():
