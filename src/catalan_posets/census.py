@@ -18,8 +18,8 @@ each high half's backward vector once, 2^7 + 2^8 vectors at n = 16, and
 takes every mask's dot product in one pass; it is cached per n up to
 CAPACITY["census"], and below that cap count_by_descent_set reads it.
 Above the cap the counter runs the two halves of its one mask and keeps
-nothing.  The lemma check compares the census with a tally over the
-enumeration.
+nothing.  The lemma check compares the census, up to the poset cap, with
+a tally of the descent poset's descent-class table.
 """
 
 from __future__ import annotations

@@ -16,11 +16,11 @@ class CapacityError(Exception):
 #: per level, so its cap also bounds the memory repeated calls hold; the
 #: census is cached per n and holds one count per mask, and the
 #: descent-set counter reads it up to the same size and keeps nothing
-#: above it; poset construction holds one bit row per element.  A "check"
-#: entry is the largest size at which that check stays exhaustive within
-#: an interactive budget.  The last three are sizes inside a check: the
-#: lemma check compares the census with a tally over the enumeration only
-#: up to its entry, and the sperner suite runs its two heavier parts at
+#: above it; poset construction holds one bit row per element, and the
+#: lemma check compares the census with a tally of P's descent classes
+#: up to that cap.  A "check" entry is the largest size at which that
+#: check stays exhaustive within an interactive budget.  The last two are
+#: sizes inside a check: the sperner suite runs its two heavier parts at
 #: the smaller of their entry and its own size.
 CAPACITY = {
     "enumeration": 12,
@@ -31,7 +31,6 @@ CAPACITY = {
     "check lemma": 12,
     "check selfdual": 9,
     "check sperner": 8,
-    "lemma enumeration tally": 9,
     "sperner-dk": 6,
     "sperner-transfer": 7,
 }

@@ -48,16 +48,13 @@ def descent_mask(entries: Sequence[int]) -> int:
 
 
 def reverse_complement_mask(n: int, mask: int) -> int:
-    """Bit-level reverse complement: position i is in the result iff n-i is absent.
+    """Bit-level reverse complement: position i is in the result iff n-i is
+    absent, so the mask's n-1 bits are reversed and then complemented.
 
     >>> bin(reverse_complement_mask(4, 0b001))
     '0b11'
     """
-    out = 0
-    for i in range(1, n):
-        if not (mask >> (n - i - 1)) & 1:
-            out |= 1 << (i - 1)
-    return out
+    return int(f"{mask:0{n - 1}b}"[::-1], 2) ^ ((1 << (n - 1)) - 1)
 
 
 def format_descent_set(mask: int) -> str:

@@ -116,7 +116,8 @@ class GradedPoset(
 @lru_cache(maxsize=None)
 def _descent_masks(n: int) -> tuple[int, ...]:
     """Descent mask of each element of the descent poset on [n], in its
-    element order; shared by the builder and the self-duality check."""
+    element order; shared by the builder, the pairing, and the lemma and
+    self-duality checks."""
     return tuple(map(descent_mask, enumerate_av132(n)))
 
 

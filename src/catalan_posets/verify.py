@@ -6,8 +6,9 @@ run_checks times each report line.  Caps reflect where exhaustive
 checking stays within interactive budgets; exceeding one raises a
 capacity error rather than silently thinning the check.
 
-The lemma check reads the census, the descent-set counter at every mask;
-sperner-dk reads every k's largest antichain union off one profile.
+The lemma check reads the census, the descent-set counter at every mask,
+and up to the poset cap compares it with a tally of P's descent-class
+table; sperner-dk reads every k's largest antichain union off one profile.
 
 Two checks are order reversals.  Coarsening a noncrossing partition
 strictly shrinks the descent set of its image permutation, so the
@@ -25,7 +26,6 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from collections.abc import Sequence
-from functools import lru_cache
 from math import comb
 
 from .antichains import chain_cover_profile, max_antichain, max_antichain_elements
@@ -33,14 +33,8 @@ from .bijection import image_descent_mask, perm_to_ncp
 from .census import build_census
 from .errors import CAPACITY, check_capacity
 from .partitions import enumerate_ncp, format_partition
-from .permutations import (
-    descent_mask,
-    enumerate_av132,
-    format_descent_set,
-    reverse_complement_mask,
-)
+from .permutations import format_descent_set, reverse_complement_mask
 from .poset import (
-    GradedPoset,
     _descent_masks,
     build_descent_poset,
     build_refinement_poset,
@@ -104,13 +98,9 @@ def narayana(n: int, k: int) -> int:
         raise ValueError(f"n must be at least 1, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    q, r = divmod(comb(n, k) * comb(n, k - 1), n)
-    if r:
-        raise ArithmeticError(f"narayana({n}, {k}) is not an integer")
-    return q
+    return comb(n, k) * comb(n, k - 1) // n
 
 
-@lru_cache(maxsize=None)
 def catalan(n: int) -> int:
     """n-th Catalan number, as the sum of the Narayana row.
 
@@ -147,33 +137,32 @@ def check_coarsening(n: int) -> VerificationReport:
     return VerificationReport("coarsening", n, examined, tuple(violations))
 
 
-def construct_antiautomorphism(poset: GradedPoset) -> tuple[int, ...]:
-    """Build the order-reversing pairing of the descent poset, as the tuple
-    whose entry i is the index paired with element i.
+def construct_antiautomorphism(n: int) -> tuple[int, ...]:
+    """Build the order-reversing pairing of the descent poset on [n], as
+    the tuple whose entry i is the index paired with element i of
+    build_descent_poset(n).
 
-    Elements are grouped by descent set; the class of S is matched to the
-    class of the reverse complement of S, members paired by lexicographic
-    rank.  A class size mismatch would falsify the counting symmetry the
-    pairing rests on, so it raises rather than returning a partial map.
-    The descent poset on [n] lists enumerate_av132(n) in order, so the
-    descent masks come from the table its builder filled.
+    Elements are grouped by descent set, read off the table the builder
+    filled; the class of S is matched to the class of the reverse
+    complement of S, members paired by lexicographic rank.  A class size
+    mismatch would falsify the counting symmetry the pairing rests on, so
+    it raises rather than returning a partial map.
 
-    >>> construct_antiautomorphism(build_descent_poset(4))[0]   # 1234 pairs with 4321
+    >>> construct_antiautomorphism(4)[0]   # 1234 pairs with 4321
     13
     """
-    if poset.family != "P":
-        raise ValueError("the pairing is defined on the descent poset")
+    masks = _descent_masks(n)
     classes: dict[int, list[int]] = {}
-    for i, mask in enumerate(_descent_masks(poset.n)):
+    for i, mask in enumerate(masks):
         classes.setdefault(mask, []).append(i)
-    mapping = [0] * poset.size
+    mapping = [0] * len(masks)
     for mask, members in classes.items():
-        partner = reverse_complement_mask(poset.n, mask)
+        partner = reverse_complement_mask(n, mask)
         targets = classes.get(partner, [])
         if len(targets) != len(members):
             raise RuntimeError(
                 f"descent classes of masks {mask:#b} and {partner:#b} "
-                f"have sizes {len(members)} and {len(targets)} for n={poset.n}"
+                f"have sizes {len(members)} and {len(targets)} for n={n}"
             )
         for source, target in zip(members, targets):
             mapping[source] = target
@@ -194,7 +183,7 @@ def check_self_duality(n: int) -> VerificationReport:
     poset = build_descent_poset(n)
     violations: list[str] = []
     try:
-        mapping = construct_antiautomorphism(poset)
+        mapping = construct_antiautomorphism(n)
     except RuntimeError as exc:
         return VerificationReport("selfdual", n, 0, (str(exc),))
     if any(mapping[j] != i for i, j in enumerate(mapping)):
@@ -253,15 +242,15 @@ def check_rank_statistics(n: int) -> VerificationReport:
 
 def check_census_symmetry(n: int) -> VerificationReport:
     """Census counts are invariant under reverse complement of the descent
-    set, and (up to the enumeration tally's sub-cap) they match a tally
-    over the enumeration."""
+    set, and (up to the poset cap) they match a tally of P's descent-class
+    table, which the enumeration fills."""
     census = build_census(n)
     violations: list[str] = []
     tally = None
-    if n <= CAPACITY["lemma enumeration tally"]:
+    if n <= CAPACITY["poset construction"]:
         tally = [0] * len(census)
-        for perm in enumerate_av132(n):
-            tally[descent_mask(perm)] += 1
+        for mask in _descent_masks(n):
+            tally[mask] += 1
     for mask, count in enumerate(census):
         partner = reverse_complement_mask(n, mask)
         if count != census[partner]:

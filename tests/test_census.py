@@ -51,7 +51,8 @@ def test_counter_matches_split_recurrence():
 def test_symmetric_fault_passes_lemma_and_fails_the_split_recurrence(monkeypatch, n):
     # one unit moves from S to T and one from rc(S) to rc(T), with |S| = |T|:
     # the census stays rc-symmetric with the same total and the same sums by
-    # size, and above the enumeration tally's sub-cap only the oracle sees it
+    # size, and above the poset cap, where lemma's tally stops, only the
+    # oracle sees it
     s, t = 0b1, 0b10
     partners = reverse_complement_mask(n, s), reverse_complement_mask(n, t)
     assert len({s, t, *partners}) == 4 and s.bit_count() == t.bit_count()
@@ -215,6 +216,9 @@ def test_counters_reject_bad_masks():
         count_by_descent_set(4, -1)
     with pytest.raises(ValueError):
         count_by_descent_set(4, 8)
+    # n is checked before the mask, whose range has no meaning below n = 1
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+        count_by_descent_set(0, 0)
 
 
 def test_census_capacity():

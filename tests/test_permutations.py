@@ -201,7 +201,8 @@ def test_reverse_complement_is_involution_exhaustive():
 
 
 def test_reverse_complement_set_version_matches_mask_version():
-    for n in range(1, 8):
+    for n in range(1, CAPACITY["census"] + 1):
         for mask in range(1 << (n - 1)):
-            image = {n - i for i in range(1, n) if i not in positions(n, mask)}
+            present = positions(n, mask)
+            image = {n - i for i in range(1, n) if i not in present}
             assert set(positions(n, reverse_complement_mask(n, mask))) == image

@@ -46,6 +46,4 @@ def test_check_table_caps_are_the_capacity_table():
         str(CAPACITY["sperner-dk"]),
         str(CAPACITY["sperner-transfer"]),
     ]
-    assert re.findall(r"through (\d+)", lemma) == [
-        str(CAPACITY["lemma enumeration tally"])
-    ]
+    assert re.findall(r"through (\d+)", lemma) == [str(CAPACITY["poset construction"])]
