@@ -16,10 +16,9 @@ other element takes prefix sums from depth 1 up), and the count is their
 dot product.  build_census computes each low half's forward vector and
 each high half's backward vector once, 2^7 + 2^8 vectors at n = 16, and
 takes every mask's dot product in one pass; it is cached per n up to
-CAPACITY["census"], and below that cap count_by_descent_set reads it.
-Above the cap the counter runs the two halves of its one mask and keeps
-nothing.  The lemma check compares the census, up to the poset cap, with
-a tally of the descent poset's descent-class table.
+CAPACITY["census"], and count_by_descent_set is an index into it under
+the same cap.  The lemma check compares the census, up to the poset cap,
+with a tally of the descent poset's descent-class table.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .errors import CAPACITY, check_capacity
+from .errors import check_capacity
 
 
 @lru_cache(maxsize=None)
@@ -62,11 +61,9 @@ def count_by_descent_set(n: int, mask: int) -> int:
     set: the noncrossing partitions whose block minima are 1 together
     with every descent position plus one.
 
-    Up to CAPACITY["census"] it is an index into build_census(n), so the
-    first call at n pays for the whole census (11-19 ms at n = 16 on a
-    2-vCPU machine, where the two halves' vectors alone take about 1 ms)
-    and keeps what the census keeps once anyone asks for it.  Above the
-    cap it runs the transfer over the mask's two halves and keeps nothing.
+    It is an index into build_census(n), under the same cap, so the first
+    call at n pays for the whole census (11-19 ms at n = 16 on a 2-vCPU
+    machine, where the two halves' vectors alone take about 1 ms).
 
     >>> count_by_descent_set(4, 0b001)
     3
@@ -75,13 +72,7 @@ def count_by_descent_set(n: int, mask: int) -> int:
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0 <= mask < 1 << (n - 1):
         raise ValueError(f"descent mask {mask:#b} out of range for n={n}")
-    if n <= CAPACITY["census"]:
-        return build_census(n)[mask]
-    low_width = (n - 1) // 2
-    low, high = mask & ((1 << low_width) - 1), mask >> low_width
-    reach = _forward(low, low_width)
-    finish = _backward(high, n - 1 - low_width, 1 + low.bit_count() + high.bit_count())
-    return sum(map(mul, reach, finish))
+    return build_census(n)[mask]
 
 
 def _forward(bits: int, width: int) -> tuple[int, ...]:

@@ -15,10 +15,10 @@ class CapacityError(Exception):
 #: Largest n each size-limited operation supports.  Enumeration is cached
 #: per level, so its cap also bounds the memory repeated calls hold; the
 #: census is cached per n and holds one count per mask, and the
-#: descent-set counter reads it up to the same size and keeps nothing
-#: above it; poset construction holds one bit row per element, and the
-#: lemma check compares the census with a tally of P's descent classes
-#: up to that cap.  A "check" entry is the largest size at which that
+#: descent-set counter is an index into it under the same cap; poset
+#: construction holds one bit row per element, and the lemma check
+#: compares the census with a tally of P's descent classes up to that
+#: cap.  A "check" entry is the largest size at which that
 #: check stays exhaustive within an interactive budget.  The last two are
 #: sizes inside a check: the sperner suite runs its two heavier parts at
 #: the smaller of their entry and its own size.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 
 from .errors import check_capacity
@@ -30,34 +30,32 @@ _ONE = re.compile("1")
 _FEW_BITS = 16
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, lowest first.
+def iter_bits(mask: int) -> Iterable[int]:
+    """Indices of set bits, lowest first, for one pass.
 
-    A row with fewer than _FEW_BITS set bits is listed bit by bit (take
-    the lowest set bit, clear it), a few full-width integer operations
-    per set bit; any other row by one scan of its binary digits, reversed
-    so that a digit's offset is its bit index, at a cost that follows the
-    width.  The rule is a count of set bits, not a share of the width,
-    because that is where the two routes cross: timed over random rows 8
-    to 40,000 bits wide (Python 3.11, shared 2-vCPU machine), bit by bit
-    is the faster one below about 16 set bits at every width and the
-    slower one above about 32.  So Q's sparse cover rows go bit by bit
-    (all of Q8's, 1,430 bits wide with 5.6 set on average, in 1.8-3.9 ms
-    in place of 6.4-7.5 ms), while P's dense rows keep the scan.  An
-    empty row returns at once; a negative mask is no bit row and raises
-    ValueError."""
-    if mask <= 0:
-        if mask:
-            raise ValueError("a bit row cannot be negative")
-        return
+    A row with fewer than _FEW_BITS set bits, the empty row among them,
+    is listed bit by bit into a list (take the lowest set bit, clear it),
+    a few full-width integer operations per set bit; any other row is an
+    iterator over one scan of its binary digits, reversed so that a
+    digit's offset is its bit index, at a cost that follows the width.
+    The rule is a count of set bits, not a share of the width, because
+    that is where the two routes cross: timed over random rows 8 to
+    40,000 bits wide (Python 3.11, shared 2-vCPU machine), bit by bit is
+    the faster one below about 16 set bits at every width and the slower
+    one above about 32.  So Q's sparse cover rows go bit by bit (all of
+    Q8's, 1,430 bits wide with 5.6 set on average, in 1.8-3.9 ms in place
+    of 6.4-7.5 ms), while P's dense rows keep the scan.  A negative mask
+    is no bit row and raises ValueError."""
+    if mask < 0:
+        raise ValueError("a bit row cannot be negative")
     if mask.bit_count() < _FEW_BITS:
+        bits = []
         while mask:
             low = mask & -mask
-            yield low.bit_length() - 1
+            bits.append(low.bit_length() - 1)
             mask ^= low
-    else:
-        for digit in _ONE.finditer(bin(mask)[:1:-1]):
-            yield digit.start()
+        return bits
+    return map(re.Match.start, _ONE.finditer(bin(mask)[:1:-1]))
 
 
 def properly_inside(masks: Sequence[int], width: int) -> list[int]:

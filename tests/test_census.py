@@ -73,15 +73,22 @@ def test_symmetric_fault_passes_lemma_and_fails_the_split_recurrence(monkeypatch
     )
 
 
+def _minima_count(n, mask):
+    # block minima are 1 and every descent position plus one
+    minima = {1} | {d + 2 for d in range(n - 1) if mask >> d & 1}
+    return support.count_noncrossing_by_minima(n, minima)
+
+
 @pytest.mark.parametrize("n, draws", [(300, 20), (2000, 3)])
-def test_counter_symmetry_has_no_size_cap(n, draws):
+def test_descent_count_symmetry_has_no_size_cap(n, draws):
+    # far above the census cap, through the block-minima oracle
     rng = random.Random(n)
     for _ in range(draws):
         mask = rng.getrandbits(n - 1)
         partner = reverse_complement_mask(n, mask)
-        count = count_by_descent_set(n, mask)
+        count = _minima_count(n, mask)
         assert count > 0
-        assert count == count_by_descent_set(n, partner)
+        assert count == _minima_count(n, partner)
 
 
 def test_lemma_check_compares_census_with_enumeration(monkeypatch):
@@ -137,14 +144,16 @@ def test_recursive_counter_agrees_with_census():
 
 
 def test_counter_memo_is_bounded():
-    # every mask at 16 reads one census; above the cap nothing is kept
+    # every mask at 16 reads one census; above the cap the counter raises
+    # as the census does and nothing is kept
     build_census.cache_clear()
     for mask in range(1 << 15):
         count_by_descent_set(16, mask)
     assert build_census.cache_info().currsize == 1
-    for n, draws in [(CAPACITY["census"] + 1, 64), (300, 5), (2000, 1)]:
+    for n in [CAPACITY["census"] + 1, 300, 2000]:
         rng = random.Random(n)
-        for _ in range(draws):
+        message = f"census supports n up to {CAPACITY['census']}, got {n}$"
+        with pytest.raises(CapacityError, match=message):
             count_by_descent_set(n, rng.getrandbits(n - 1))
         assert build_census.cache_info().currsize == 1
 
@@ -199,6 +208,11 @@ def test_count_noncrossing_by_minima_matches_enumeration():
         tally = Counter(tuple(b[0] for b in q.blocks) for q in enumerate_ncp(n))
         for minima, expected in tally.items():
             assert support.count_noncrossing_by_minima(n, minima) == expected
+    # and with the census, at every mask
+    for n in range(1, 13):
+        census = build_census(n)
+        for mask in range(1 << (n - 1)):
+            assert _minima_count(n, mask) == census[mask]
 
 
 def test_descent_count_distribution_is_narayana():

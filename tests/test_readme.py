@@ -1,7 +1,8 @@
 """Each ``$ catalan-posets ...`` line of README.md's ``sh`` blocks, run
 through the CLI; the lines under it are its stdout (the first N with
 ``| head -N``).  Commands that write to ``--output`` are left out.  The
-caps in README's check table are compared with CAPACITY."""
+caps in README's check table and in its paragraph on the caps are
+compared with CAPACITY."""
 
 import re
 import shlex
@@ -20,6 +21,10 @@ EXAMPLES = [
     for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]
     if "--output" not in chunk.splitlines()[0]
 ]
+# the paragraph on the caps, on one line
+CAPS_PARAGRAPH = " ".join(
+    re.search(r"^Every size cap lives in one table.*?\n\n", README, re.M | re.S).group().split()
+)
 # check name -> (cap column, statement column) of the check table
 CHECK_TABLE = {
     name: (int(cap), statement)
@@ -47,3 +52,19 @@ def test_check_table_caps_are_the_capacity_table():
         str(CAPACITY["sperner-transfer"]),
     ]
     assert re.findall(r"through (\d+)", lemma) == [str(CAPACITY["poset construction"])]
+
+
+def test_caps_paragraph_is_the_capacity_table():
+    phrases = {
+        "enumeration": r"enumeration is capped at n = (\d+)",
+        "census": r"the census \(`census --n`\) and the descent-set counter"
+        r" \(`count_by_descent_set`\) at n = (\d+) \(2\^(\d+) masks",
+        "poset construction": r"poset construction at n = (\d+)",
+    }
+    stated = {op: re.findall(phrase, CAPS_PARAGRAPH) for op, phrase in phrases.items()}
+    cap = CAPACITY["census"]
+    assert stated == {
+        "enumeration": [str(CAPACITY["enumeration"])],
+        "census": [(str(cap), str(cap - 1))],
+        "poset construction": [str(CAPACITY["poset construction"])],
+    }

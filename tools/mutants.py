@@ -116,6 +116,13 @@ MUTANTS = (
         "count_by_descent_set(0, 0) fails on a negative shift, not on n",
     ),
     Mutant(
+        "counter-mask-bound",
+        "census.py",
+        "mask < 1 << (n - 1)",
+        "mask <= 1 << (n - 1)",
+        "a mask one past the last position fails on the census index, not on the range",
+    ),
+    Mutant(
         "backward-descent",
         "census.py",
         "del finish[0]",
@@ -189,8 +196,8 @@ MUTANTS = (
     Mutant(
         "iter-bits-index",
         "poset.py",
-        "yield low.bit_length() - 1",
-        "yield low.bit_length()",
+        "bits.append(low.bit_length() - 1)",
+        "bits.append(low.bit_length())",
         "sparse rows list each bit one place high",
     ),
     Mutant(
