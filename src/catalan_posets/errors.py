@@ -26,7 +26,7 @@ CAPACITY = {
     "enumeration": 12,
     "census": 16,
     "poset construction": 9,
-    "check coarsening": 8,
+    "check coarsening": 9,
     "check ranks": 9,
     "check lemma": 12,
     "check selfdual": 9,

@@ -119,13 +119,13 @@ def _descent_masks(n: int) -> tuple[int, ...]:
     return tuple(map(descent_mask, enumerate_av132(n)))
 
 
-def _cover_rows(ranks: Sequence[int], leq_rows: Sequence[int]) -> tuple[int, ...]:
-    """Cover rows of an order that ranks grade: j covers i exactly when i
-    is below j and j sits one rank higher."""
+def _layers(ranks: Sequence[int]) -> list[int]:
+    """Entry r is the bitset of the elements of rank r, with one empty
+    entry past the top rank."""
     layers = [0] * (max(ranks) + 2)
     for i, r in enumerate(ranks):
         layers[r] |= 1 << i
-    return tuple(row & layers[r + 1] for row, r in zip(leq_rows, ranks))
+    return layers
 
 
 @lru_cache(maxsize=None)
@@ -150,16 +150,22 @@ def build_descent_poset(n: int) -> GradedPoset:
     above = properly_inside([full ^ m for m in masks], n - 1)
     leq_rows = tuple(above[full ^ m] | (1 << i) for i, m in enumerate(masks))
     ranks = tuple(m.bit_count() for m in masks)
-    return GradedPoset("P", n, elements, ranks, leq_rows, _cover_rows(ranks, leq_rows))
+    # j covers i by their descent sets alone: one cover row per class
+    layers = _layers(ranks)
+    covers = [above[full ^ m] & layers[m.bit_count() + 1] for m in range(full + 1)]
+    return GradedPoset("P", n, elements, ranks, leq_rows, tuple(covers[m] for m in masks))
 
 
 def refinement_rows(n: int, partitions: Sequence[SetPartition]) -> list[int]:
     """Entry k is the bitset of the indices j with partitions[k] refining
     partitions[j], for any list of partitions of [n]: b holds every block
     of a exactly when it holds every two consecutive members of each block
-    of a in one block.  One pass marks, for each pair x < y, the members
-    holding x and y together; each entry is then the AND of at most n - 1
-    of those rows.
+    of a in one block.  Each distinct block of two or more members gets a
+    holder row, the indices of the partitions that have it, packed into a
+    bytearray; each pair x < y gets the OR of the holder rows of the
+    blocks holding both.  The AND of a block's consecutive pair rows is
+    taken once per call, and each entry is the AND of those of its blocks
+    (an entry with no such block is every index).
 
     >>> from .partitions import parse_partition
     >>> texts = ("{1,3}/{2}", "{1,2,3}", "{1}/{2}/{3}")
@@ -167,21 +173,35 @@ def refinement_rows(n: int, partitions: Sequence[SetPartition]) -> list[int]:
     [3, 2, 7]
     """
     size = len(partitions)
-    marks = [[bytearray(b"0" * size) for _ in range(y)] for y in range(n + 1)]
+    holders: dict[tuple[int, ...], bytearray] = {}
     for j, q in enumerate(partitions):
-        digit = size - 1 - j  # bit j, as the binary digits of a row read it
+        byte, bit = j >> 3, 1 << (j & 7)
         for block in q.blocks:
-            for t in range(1, len(block)):
-                pair = marks[block[t]]
-                for x in block[:t]:
-                    pair[x][digit] = 49  # ord("1")
-    together = [[int(row, 2) for row in pairs] for pairs in marks]
+            if len(block) > 1:
+                row = holders.get(block)
+                if row is None:
+                    row = holders[block] = bytearray((size + 7) >> 3)
+                row[byte] |= bit
+    together = [[0] * y for y in range(n + 1)]
+    for block, row in holders.items():
+        held = int.from_bytes(row, "little")
+        for t in range(1, len(block)):
+            pair = together[block[t]]
+            for x in block[:t]:
+                pair[x] |= held
+    every = (1 << size) - 1
+    whole = {}
+    for block in holders:
+        row = every
+        for x, y in zip(block, block[1:]):
+            row &= together[y][x]
+        whole[block] = row
     rows = []
     for q in partitions:
-        row = (1 << size) - 1
+        row = every
         for block in q.blocks:
-            for x, y in zip(block, block[1:]):
-                row &= together[y][x]
+            if len(block) > 1:
+                row &= whole[block]
         rows.append(row)
     return rows
 
@@ -201,7 +221,9 @@ def build_refinement_poset(n: int) -> GradedPoset:
     elements = tuple(enumerate_ncp(n))
     ranks = tuple(n - len(q.blocks) for q in elements)
     leq_rows = tuple(refinement_rows(n, elements))
-    return GradedPoset("Q", n, elements, ranks, leq_rows, _cover_rows(ranks, leq_rows))
+    layers = _layers(ranks)
+    covers = tuple(row & layers[r + 1] for row, r in zip(leq_rows, ranks))
+    return GradedPoset("Q", n, elements, ranks, leq_rows, covers)
 
 
 def _labels(poset: GradedPoset) -> list[str]:

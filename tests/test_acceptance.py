@@ -129,11 +129,11 @@ def test_criterion_05_rank_statistics():
 
 def test_criterion_06_coarsening():
     problems = []
-    for n in range(1, 9):
+    for n in range(1, 10):
         report = check_coarsening(n)
         if not report.passed:
             problems.extend(report.violations)
-    conclude(6, "refinement strictly shrinks descents to 8", problems)
+    conclude(6, "refinement strictly shrinks descents to 9", problems)
 
 
 def test_criterion_07_census_symmetry():

@@ -344,7 +344,7 @@ def test_single_element_poset_pairs_with_itself():
 
 
 def test_check_coarsening_passes():
-    for n in range(1, 9):
+    for n in range(1, CAPACITY["check coarsening"] + 1):
         report = check_coarsening(n)
         assert report.passed
         assert report.name == "coarsening"
@@ -471,11 +471,21 @@ def test_self_duality_reports_a_flipped_order_bit(monkeypatch, n):
     assert flipped in pairwise_self_duality_violations(broken, mapping)
 
 
+def strict_refinement_pairs(q_poset):
+    """support.strict_pairs in the same order, read off each order row bit
+    by bit, so that it stays fast at the poset cap."""
+    return [
+        (a, b) for a, row in enumerate(q_poset.leq_rows) for b in support.iter_bits(row) if a != b
+    ]
+
+
 def pairwise_coarsening_violations(n):
     q_poset = build_refinement_poset(n)
     fmask = [verify.image_descent_mask(q) for q in q_poset.elements]
     violations = []
-    for a, b in support.strict_pairs(q_poset):
+    for a, b in strict_refinement_pairs(q_poset):
+        if len(violations) > verify.MAX_VIOLATION_DETAILS:
+            break
         if fmask[b] == fmask[a] or fmask[b] & fmask[a] != fmask[b]:
             note_violation(
                 violations,
@@ -500,10 +510,15 @@ def test_coarsening_reports_corrupted_descent_sets(monkeypatch, name):
         return CORRUPTIONS[name](q.n, true_mask(q))
 
     monkeypatch.setattr(verify, "image_descent_mask", fake)
-    for n in (3, 5, 6):
+    for n in (3, 5, 6, 9):
         report = check_coarsening(n)
         assert report.passed is False, name
-        assert report.examined == len(support.strict_pairs(build_refinement_poset(n)))
+        q_poset = build_refinement_poset(n)
+        if n <= 6:
+            assert strict_refinement_pairs(q_poset) == support.strict_pairs(q_poset)
+        assert report.examined == len(strict_refinement_pairs(q_poset))
+        # Kreweras: NC(n) has C(3n, n)/(2n + 1) intervals, C_n of them trivial
+        assert report.examined == math.comb(3 * n, n) // (2 * n + 1) - catalan(n)
         assert report.violations == pairwise_coarsening_violations(n)
         assert len(report.violations) <= MAX_VIOLATION_DETAILS + 1
     monkeypatch.setattr(verify, "MAX_VIOLATION_DETAILS", 10**9)

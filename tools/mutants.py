@@ -208,6 +208,20 @@ MUTANTS = (
         "properly_inside keeps each mask's own fiber",
     ),
     Mutant(
+        "holder-bit",
+        "poset.py",
+        "byte, bit = j >> 3, 1 << (j & 7)",
+        "byte, bit = j >> 3, 1 << (j & 3)",
+        "a partition's holder bits land on the wrong index of their byte",
+    ),
+    Mutant(
+        "class-cover-layer",
+        "poset.py",
+        "layers[m.bit_count() + 1]",
+        "layers[m.bit_count()]",
+        "P's cover rows look for covers at the class's own rank, where there are none",
+    ),
+    Mutant(
         "iter-bits-route",
         "poset.py",
         "_FEW_BITS = 16",
@@ -231,8 +245,8 @@ MUTANTS = (
     Mutant(
         "coarsening-shrink",
         "verify.py",
-        "for j in iter_bits(strict & ~inside[mask]):",
-        "for j in iter_bits(0):",
+        "if bad != 1 << i and",
+        "if False and",
         "coarsening reports no pair",
     ),
     Mutant(
