@@ -10,6 +10,10 @@ newline: argparse's through _Parser.error, the others through main, both
 by _error_line, which cuts a longer line to end in `... (N characters)`.
 The help formatter is sized here by argparse's own rule: left to argparse,
 reading the terminal width imports a file-utilities module and zlib, bz2, lzma.
+A plain argv (a command, then exact flags each with a value and positionals,
+none starting with '-' but a lone '-', all valid) is read by _plain_args
+from the table _COMMANDS, without building the parser; any other argv
+(help, --n=5, cut flags, --, negative numbers, errors) goes to the parser.
 """
 
 from __future__ import annotations
@@ -173,6 +177,82 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: build_parser's commands, for _plain_args: each command's positionals as
+#: (dest, choices), its options as flag -> (dest, type, choices), and the
+#: defaults of the options it may leave out; every other dest is required.
+#: A test holds it to the parser's actions.
+_COMMANDS = {
+    "enumerate": (
+        (("kind", ("av132", "ncp")),),
+        {
+            "--n": ("n", int, None),
+            "--limit": ("limit", _nonnegative_int, None),
+            "--output": ("output", None, None),
+        },
+        {"limit": None, "output": None},
+    ),
+    "map": ((("direction", ("f", "finv")), ("text", None)), {}, {}),
+    "poset": (
+        (("family", ("P", "Q")),),
+        {
+            "--n": ("n", int, None),
+            "--format": ("format", None, ("dot", "json")),
+            "--output": ("output", None, None),
+        },
+        {"output": None},
+    ),
+    "census": ((), {"--n": ("n", int, None), "--output": ("output", None, None)}, {"output": None}),
+    "verify": (
+        (),
+        {"--checks": ("checks", _parse_checks, None), "--n": ("n", int, None)},
+        {"checks": ("all",)},
+    ),
+}
+
+
+def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace build_parser's parser makes of argv when argv is plain,
+    else None.  Plain means: the first token names a command; each option
+    is an exact flag followed by a value that does not start with '-';
+    each positional is '-' or does not start with '-'; each value converts
+    and is among its choices; no positional is missing or extra, and every
+    required option is given.  Anything else (-h, --n=5, a cut flag, --, a
+    negative number, a bad or missing value) is left to the parser, which
+    alone writes help, usage and errors.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    positionals, options, defaults = _COMMANDS[argv[0]]
+    unfilled = iter(positionals)
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            dest, convert, choices = options[token]
+            token = next(tokens, "-")  # a flag without a value is not plain
+            if token.startswith("-"):
+                return None
+        elif token.startswith("-") and token != "-":
+            return None
+        else:
+            dest, choices = next(unfilled, (None, None))
+            if dest is None:
+                return None
+            convert = None
+        try:
+            value = convert(token) if convert else token
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        given[dest] = value
+    values = {**defaults, **given}
+    dests = [dest for dest, _ in positionals] + [dest for dest, _, _ in options.values()]
+    if len(values) != len(dests):  # a positional or a required option is missing
+        return None
+    return argparse.Namespace(command=argv[0], **{dest: values[dest] for dest in dests})
+
+
 def _stdio(name: str):
     """sys.stdin or sys.stdout; Python sets it to None when the process
     starts with that descriptor closed."""
@@ -278,7 +358,9 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         code = _HANDLERS[args.command](args)
         if sys.stdout is not None:

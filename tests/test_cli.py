@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catalan_posets import cli
 from catalan_posets.cli import build_parser, main
@@ -716,3 +719,154 @@ def test_map_reads_element_from_stdin():
         "{1,4,6}/{2,3}/{5}/{7,8}\n",
         "",
     )
+
+
+# --- the plain route past argparse --------------------------------------------
+#
+# main hands a plain argv to cli._plain_args, which reads cli._COMMANDS, and
+# any other argv to the parser.  The table must say what the parser says, and
+# the plain route must give the parser's namespace or step aside.
+
+
+def parser_commands():
+    """build_parser's commands in the shape of cli._COMMANDS."""
+    parser = build_parser()
+    assert [type(action) for action in parser._actions] == [
+        argparse._HelpAction,
+        argparse._SubParsersAction,
+    ]
+    commands = {}
+    for name, sub in parser._subparsers._group_actions[0].choices.items():
+        positionals, options, defaults = [], {}, {}
+        assert isinstance(sub._actions[0], argparse._HelpAction)
+        for action in sub._actions[1:]:
+            # one value each, kept as given: the only shape the table reads
+            assert type(action) is argparse._StoreAction and action.nargs is None
+            if not action.option_strings:
+                assert action.required and action.type is None and action.default is None
+                positionals.append((action.dest, action.choices))
+                continue
+            (flag,) = action.option_strings
+            options[flag] = (action.dest, action.type, action.choices)
+            if action.required:
+                assert action.default is None
+            else:
+                defaults[action.dest] = action.default
+        commands[name] = (tuple(positionals), options, defaults)
+    return commands
+
+
+def test_plain_table_agrees_with_the_parser():
+    # dicts compare without order, so compare their items in order too
+    def ordered(commands):
+        return [
+            (name, positionals, list(options.items()), list(defaults.items()))
+            for name, (positionals, options, defaults) in commands.items()
+        ]
+
+    assert ordered(cli._COMMANDS) == ordered(parser_commands())
+
+
+PLAIN_ARGVS = [
+    ["enumerate", "av132", "--n", "3"],
+    ["enumerate", "--limit", "2", "ncp", "--output", "out.txt", "--n", "4"],
+    ["map", "f", "{1,2}/{3}"],
+    ["map", "finv", "-"],
+    ["poset", "Q", "--n", "3", "--format", "dot", "--output", "q.dot"],
+    ["census", "--n", "3"],
+    ["verify", "--checks", "lemma, ranks", "--n", "5"],
+]
+
+#: Tokens that argparse reads otherwise than the plain route does, or
+#: rejects, beside tokens of the commands and values of every kind.
+AWKWARD_TOKENS = [
+    "-h", "--help", "--", "--n=3", "--n", "--out", "--output", "--lim", "--limit",
+    "--format", "--checks", "-3", "-x", " 4", " -4", "+5", "5_0", "٣", "", "-",
+    "0", "7", "x", "a b", "av132", "ncp", "P", "Q", "p", "dot", "json", "JSON", "f",
+    "finv", "F", "all", "lemma", "bogus", ",", "map", "census", "enumerate",
+]
+
+
+@st.composite
+def mutated_argvs(draw):
+    """A plain argv with up to three tokens inserted, deleted, swapped or
+    replaced."""
+    argv = list(draw(st.sampled_from(PLAIN_ARGVS)))
+    token = st.sampled_from(AWKWARD_TOKENS)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["insert", "delete", "swap", "replace"]))
+        at = draw(st.integers(0, len(argv)))
+        if edit == "insert":
+            argv.insert(at, draw(token))
+        elif at < len(argv):
+            if edit == "delete":
+                del argv[at]
+            elif edit == "swap":
+                other = draw(st.integers(0, len(argv) - 1))
+                argv[at], argv[other] = argv[other], argv[at]
+            else:
+                argv[at] = draw(token)
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1500)
+@example(["enumerate", "xyz", "--n", "3"])
+@example(["poset", "P", "--n", "3", "--format", "JSON"])
+@example(["census", "--n", "3", "--output"])
+@example(["census", "--output", "-x", "--n", "3"])
+@given(mutated_argvs())
+def test_plain_route_gives_the_parsers_namespace_or_none(argv):
+    plain = cli._plain_args(argv)
+    if plain is None:
+        return
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"plain route takes {argv!r}, which argparse rejects")
+    assert list(vars(plain).items()) == list(vars(parsed).items())
+
+
+def parser_unbuilt():
+    raise AssertionError("build_parser called")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "ncp", "--n", "3", "--limit", "2"],
+        ["map", "f", "{1,4,6}/{2,3}/{5}/{7,8}"],
+        ["poset", "P", "--n", "3", "--format", "json"],
+        ["census", "--n", "3"],
+        ["verify", "--checks", "lemma", "--n", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_plain_argv_runs_without_building_the_parser(monkeypatch, capsys, argv):
+    def outcome():
+        code, out, err = run_cli(capsys, *argv)
+        return code, out, re.sub(r"\d+\.\d{3}s", "*s", err)  # verify's timings
+
+    with monkeypatch.context() as through_parser:
+        through_parser.setattr(cli, "_plain_args", lambda argv: None)
+        expected = outcome()
+    monkeypatch.setattr(cli, "build_parser", parser_unbuilt)
+    assert outcome() == expected
+    assert expected[0] == 0 and expected[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["verify", "--help"],
+        ["verify", "--checks", "bogus", "--n", "3"],
+        ["census", "--n", "x"],
+        ["map", "F", "1"],
+        ["verify", "--n", "-3"],
+    ],
+)
+def test_other_argv_reaches_the_parser(monkeypatch, argv):
+    monkeypatch.setattr(cli, "build_parser", parser_unbuilt)
+    with pytest.raises(AssertionError, match="build_parser called"):
+        main(argv)

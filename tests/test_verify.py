@@ -1,4 +1,6 @@
 import math
+import time
+from itertools import islice
 
 import pytest
 
@@ -382,17 +384,21 @@ def test_permutation_level_description_of_pairing():
 # compare every reported line with the pair-by-pair definition.
 
 
+def order_reversal_breaks(poset, mapping):
+    """The text of every pair that breaks order reversal, pair by pair in
+    the check's order, one at a time, so that a caller may stop early."""
+    for i in range(poset.size):
+        for j in range(poset.size):
+            if support.leq(poset, i, j) != support.leq(poset, mapping[j], mapping[i]):
+                yield f"({poset.label(i)}, {poset.label(j)}) breaks order reversal"
+
+
 def pairwise_self_duality_violations(poset, mapping):
     violations = []
     if any(mapping[j] != i for i, j in enumerate(mapping)):
         violations.append("pairing is not an involution")
-    for i in range(poset.size):
-        for j in range(poset.size):
-            if support.leq(poset, i, j) != support.leq(poset, mapping[j], mapping[i]):
-                note_violation(
-                    violations,
-                    f"({poset.label(i)}, {poset.label(j)}) breaks order reversal",
-                )
+    for text in order_reversal_breaks(poset, mapping):
+        note_violation(violations, text)
     return tuple(violations)
 
 
@@ -469,6 +475,26 @@ def test_self_duality_reports_a_flipped_order_bit(monkeypatch, n):
     flipped = f"({true.label(i)}, {true.label(j)}) breaks order reversal"
     assert report.violations == (flipped,)
     assert flipped in pairwise_self_duality_violations(broken, mapping)
+
+
+def test_self_duality_formats_only_the_pairs_its_report_keeps(monkeypatch):
+    # the identity pairing is an involution that reverses no order, so each
+    # strict comparable pair of P8 breaks order reversal, twice over; rows
+    # are walked only while the report keeps details
+    n = 8
+    poset = build_descent_poset(n)
+    identity = tuple(range(poset.size))
+    monkeypatch.setattr(verify, "construct_antiautomorphism", lambda _n: identity)
+    start = time.perf_counter()
+    report = check_self_duality(n)
+    elapsed = time.perf_counter() - start
+    kept = tuple(islice(order_reversal_breaks(poset, identity), MAX_VIOLATION_DETAILS + 1))
+    assert len(kept) == MAX_VIOLATION_DETAILS + 1
+    assert report.violations == (*kept[:-1], "further violations omitted")
+    assert report.examined == poset.size**2
+    # about 4 ms on a shared 2-vCPU machine; walking every row formats
+    # the text of every broken pair there, for 0.9 s
+    assert elapsed < 0.25
 
 
 def strict_refinement_pairs(q_poset):

@@ -144,6 +144,20 @@ MUTANTS = (
         "error lines are no longer cut under 200 bytes",
     ),
     Mutant(
+        "plain-choices",
+        "cli.py",
+        "if choices is not None and value not in choices:",
+        "if False:",
+        "the plain route takes a value that is not among its choices",
+    ),
+    Mutant(
+        "plain-dash-value",
+        "cli.py",
+        'if token.startswith("-"):',
+        "if False:",
+        "the plain route takes a flag's value that starts with '-', or a missing one",
+    ),
+    Mutant(
         "capacity-off-by-one",
         "errors.py",
         "if n > cap:",
@@ -248,6 +262,13 @@ MUTANTS = (
         "if bad != 1 << i and",
         "if False and",
         "coarsening reports no pair",
+    ),
+    Mutant(
+        "selfdual-detail-guard",
+        "verify.py",
+        "if bad and len(violations) <= MAX_VIOLATION_DETAILS:",
+        "if bad:",
+        "selfdual formats every broken pair of every row, kept or not",
     ),
     Mutant(
         "pairing-targets-reversed",
