@@ -28,7 +28,7 @@ CAPACITY = {
     "poset construction": 9,
     "check coarsening": 9,
     "check ranks": 9,
-    "check lemma": 12,
+    "check lemma": 16,
     "check selfdual": 9,
     "check sperner": 8,
     "sperner-dk": 6,

@@ -73,6 +73,34 @@ def test_symmetric_fault_passes_lemma_and_fails_the_split_recurrence(monkeypatch
     )
 
 
+def test_asymmetric_fault_fails_lemma_at_its_cap(monkeypatch):
+    # one unit more at {1}, whose reverse complement is {1..n-2}: above the
+    # poset cap lemma has no tally, and its symmetry test and its total
+    # still see it
+    n = CAPACITY["check lemma"]
+    mask = 0b1
+    partner = reverse_complement_mask(n, mask)
+    assert partner == (1 << (n - 2)) - 1 != mask
+    bad = list(build_census(n))
+    bad[mask] += 1
+    monkeypatch.setattr(verify, "build_census", lambda n: tuple(bad))
+    other = "{" + ",".join(map(str, range(1, n - 1))) + "}"
+    [report] = verify.run_checks(("lemma",), n)
+    assert report.summary_line() == f"lemma n={n}: examined={1 << (n - 1)} FAIL"
+    assert report.violations == (
+        f"count {bad[mask]} at {{1}} != count {bad[partner]} at {other}",
+        f"count {bad[partner]} at {other} != count {bad[mask]} at {{1}}",
+        f"census total {catalan(n) + 1} != catalan({n})",
+    )
+
+
+def test_lanes_hold_every_count_up_to_the_cap():
+    # build_census adds each mask's count into one lane of a packed sum, and
+    # no count exceeds C_n; a count that filled its lane would carry into
+    # the next mask's, so a census cap beyond what a lane holds fails here
+    assert catalan(CAPACITY["census"]) < 1 << (8 * census_module._LANE)
+
+
 def _minima_count(n, mask):
     # block minima are 1 and every descent position plus one
     minima = {1} | {d + 2 for d in range(n - 1) if mask >> d & 1}

@@ -437,6 +437,13 @@ def test_verify_all_clamps_above_caps(capsys):
     assert f"coarsening n={CAPACITY['check coarsening']}:" in out
 
 
+def test_verify_all_runs_lemma_at_its_cap(capsys):
+    cap = CAPACITY["check lemma"]
+    code, out, _ = run_cli(capsys, "verify", "--n", str(cap + 1))
+    assert code == 0
+    assert f"lemma n={cap}: examined={1 << (cap - 1)} pass\n" in out
+
+
 def test_verify_explicit_over_cap(capsys):
     cap = CAPACITY["check selfdual"]
     code, out, err = run_cli(capsys, "verify", "--checks", "selfdual", "--n", str(cap + 1))

@@ -60,6 +60,7 @@ def test_caps_paragraph_is_the_capacity_table():
         "census": r"the census \(`census --n`\) and the descent-set counter"
         r" \(`count_by_descent_set`\) at n = (\d+) \(2\^(\d+) masks",
         "poset construction": r"poset construction at n = (\d+)",
+        "check lemma": r"The lemma check runs to the census cap of n = (\d+)",
     }
     stated = {op: re.findall(phrase, CAPS_PARAGRAPH) for op, phrase in phrases.items()}
     cap = CAPACITY["census"]
@@ -67,4 +68,6 @@ def test_caps_paragraph_is_the_capacity_table():
         "enumeration": [str(CAPACITY["enumeration"])],
         "census": [(str(cap), str(cap - 1))],
         "poset construction": [str(CAPACITY["poset construction"])],
+        "check lemma": [str(cap)],
     }
+    assert CAPACITY["check lemma"] == cap

@@ -76,6 +76,22 @@ def test_census_symmetry_at_large_size():
     assert check_census_symmetry(12).passed
 
 
+@pytest.mark.parametrize(
+    "name, closed_form",
+    [
+        ("lemma", lambda n: 2 ** (n - 1)),  # one entry per descent set
+        ("ranks", lambda n: 2 * n),  # one rank vector per family
+        ("selfdual", lambda n: (math.comb(2 * n, n) // (n + 1)) ** 2),  # C_n^2 pairs
+    ],
+)
+def test_examined_is_the_closed_form_through_the_cap(name, closed_form):
+    # a check that skipped part of its domain above the sizes pinned
+    # elsewhere would still pass; its examined= would not
+    for n in range(1, CAPACITY["check " + name] + 1):
+        [report] = run_checks((name,), n)
+        assert (report.n, report.examined, report.passed) == (n, closed_form(n), True)
+
+
 def test_sperner_suite_structure():
     reports = run_checks(("sperner",), 8)
     assert [r.name for r in reports] == [

@@ -130,6 +130,20 @@ MUTANTS = (
         "a descent drops the deepest depth, not depth 1, so counts go wrong",
     ),
     Mutant(
+        "lane-byte-order",
+        "census.py",
+        ".to_bytes(_LANE << low, sys.byteorder)",
+        '.to_bytes(_LANE << low, "big" if sys.byteorder == "little" else "little")',
+        "each high half's packed sum is read back in the wrong byte order",
+    ),
+    Mutant(
+        "lane-pad-depth",
+        "census.py",
+        "_forward(bits, low) + (0,) * (low - bits.bit_count())",
+        "(0,) * (low - bits.bit_count()) + _forward(bits, low)",
+        "a short forward vector is padded at depth 1, not past its deepest depth",
+    ),
+    Mutant(
         "verify-exit-status",
         "cli.py",
         "return 0 if all(report.passed for report in reports) else 1",
