@@ -10,10 +10,12 @@ newline: argparse's through _Parser.error, the others through main, both
 by _error_line, which cuts a longer line to end in `... (N characters)`.
 The help formatter is sized here by argparse's own rule: left to argparse,
 reading the terminal width imports a file-utilities module and zlib, bz2, lzma.
-A plain argv (a command, then exact flags each with a value and positionals,
-none starting with '-' but a lone '-', all valid) is read by _plain_args
-from the table _COMMANDS, without building the parser; any other argv
-(help, --n=5, cut flags, --, negative numbers, errors) goes to the parser.
+One table, _COMMANDS, holds each command's arguments, help and handler.  A
+plain argv (a command, then exact flags each with a value and positionals,
+none starting with '-' but a lone '-', all valid) is read from it by
+_plain_args, without building the parser; any other argv (help, --n=5, cut
+flags, --, negative numbers, errors) goes to the parser that build_parser
+makes from it.
 """
 
 from __future__ import annotations
@@ -71,15 +73,18 @@ def _error_line(head: str, message: str) -> str:
     return data[: _LINE_BYTES - len(tail)].decode(errors="ignore") + tail
 
 
+#: What --checks takes: "all" or a named check.
+_CHECK_NAMES = ("all", *CHECKS)
+
+
 def _parse_checks(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
         raise argparse.ArgumentTypeError("no checks given")
-    known = ("all", *CHECKS)
     for name in names:
-        if name not in known:
+        if name not in _CHECK_NAMES:
             raise argparse.ArgumentTypeError(
-                f"unknown check {name!r} (known: {', '.join(known)})"
+                f"unknown check {name!r} (known: {', '.join(_CHECK_NAMES)})"
             )
     return names
 
@@ -130,84 +135,16 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = partial(sub.add_parser, formatter_class=formatter)
-
-    enum = add_parser("enumerate", help="list one family in canonical order")
-    enum.add_argument("kind", choices=("av132", "ncp"), help="which family to list")
-    enum.add_argument("--n", type=int, required=True, help="ground size")
-    enum.add_argument(
-        "--limit", type=_nonnegative_int, default=None, help="stop after this many lines"
-    )
-    enum.add_argument("--output", default=None, help="write here instead of stdout")
-
-    map_cmd = add_parser("map", help="apply the bijection in either direction")
-    map_cmd.add_argument(
-        "direction",
-        choices=("f", "finv"),
-        help="f maps a partition to its permutation, finv inverts",
-    )
-    map_cmd.add_argument(
-        "text", help="the element to map, in the text formats; - reads it from stdin"
-    )
-
-    poset = add_parser("poset", help="export a poset as DOT or JSON")
-    poset.add_argument(
-        "family",
-        choices=("P", "Q"),
-        help="P: descent order; Q: refinement order",
-    )
-    poset.add_argument("--n", type=int, required=True, help="ground size")
-    poset.add_argument("--format", choices=("dot", "json"), required=True)
-    poset.add_argument("--output", default=None, help="write here instead of stdout")
-
-    census = add_parser(
-        "census", help="CSV of 132-avoiding permutation counts by descent set"
-    )
-    census.add_argument("--n", type=int, required=True, help="ground size")
-    census.add_argument("--output", default=None, help="write here instead of stdout")
-
-    verify = add_parser("verify", help="run verification checks")
-    verify.add_argument(
-        "--checks",
-        type=_parse_checks,
-        default=("all",),
-        help="comma separated subset of: " + ", ".join(("all", *CHECKS)),
-    )
-    verify.add_argument("--n", type=int, required=True, help="ground size")
+    for name, (help_line, positionals, options, defaults, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line, formatter_class=formatter)
+        for dest, choices, help_text in positionals:
+            command.add_argument(dest, choices=choices, help=help_text)
+        for flag, (dest, convert, choices, help_text) in options.items():
+            command.add_argument(
+                flag, dest=dest, type=convert, choices=choices, help=help_text,
+                required=dest not in defaults, default=defaults.get(dest),
+            )
     return parser
-
-
-#: build_parser's commands, for _plain_args: each command's positionals as
-#: (dest, choices), its options as flag -> (dest, type, choices), and the
-#: defaults of the options it may leave out; every other dest is required.
-#: A test holds it to the parser's actions.
-_COMMANDS = {
-    "enumerate": (
-        (("kind", ("av132", "ncp")),),
-        {
-            "--n": ("n", int, None),
-            "--limit": ("limit", _nonnegative_int, None),
-            "--output": ("output", None, None),
-        },
-        {"limit": None, "output": None},
-    ),
-    "map": ((("direction", ("f", "finv")), ("text", None)), {}, {}),
-    "poset": (
-        (("family", ("P", "Q")),),
-        {
-            "--n": ("n", int, None),
-            "--format": ("format", None, ("dot", "json")),
-            "--output": ("output", None, None),
-        },
-        {"output": None},
-    ),
-    "census": ((), {"--n": ("n", int, None), "--output": ("output", None, None)}, {"output": None}),
-    "verify": (
-        (),
-        {"--checks": ("checks", _parse_checks, None), "--n": ("n", int, None)},
-        {"checks": ("all",)},
-    ),
-}
 
 
 def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
@@ -222,20 +159,20 @@ def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
-    positionals, options, defaults = _COMMANDS[argv[0]]
+    _, positionals, options, defaults, _ = _COMMANDS[argv[0]]
     unfilled = iter(positionals)
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
         if token in options:
-            dest, convert, choices = options[token]
+            dest, convert, choices, _ = options[token]
             token = next(tokens, "-")  # a flag without a value is not plain
             if token.startswith("-"):
                 return None
         elif token.startswith("-") and token != "-":
             return None
         else:
-            dest, choices = next(unfilled, (None, None))
+            dest, choices, _ = next(unfilled, (None, None, None))
             if dest is None:
                 return None
             convert = None
@@ -247,7 +184,7 @@ def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
             return None
         given[dest] = value
     values = {**defaults, **given}
-    dests = [dest for dest, _ in positionals] + [dest for dest, _, _ in options.values()]
+    dests = [each[0] for each in (*positionals, *options.values())]
     if len(values) != len(dests):  # a positional or a required option is missing
         return None
     return argparse.Namespace(command=argv[0], **{dest: values[dest] for dest in dests})
@@ -348,12 +285,69 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(report.passed for report in reports) else 1
 
 
-_HANDLERS = {
-    "enumerate": _cmd_enumerate,
-    "map": _cmd_map,
-    "poset": _cmd_poset,
-    "census": _cmd_census,
-    "verify": _cmd_verify,
+#: Each command as (help, positionals, options, defaults, handler): its
+#: positionals as (dest, choices, help), its options as flag -> (dest,
+#: type, choices, help), and the defaults of the options it may leave out;
+#: every other option is required.  build_parser makes the parser of it,
+#: and _plain_args reads a plain argv by it.
+_COMMANDS = {
+    "enumerate": (
+        "list one family in canonical order",
+        (("kind", ("av132", "ncp"), "which family to list"),),
+        {
+            "--n": ("n", int, None, "ground size"),
+            "--limit": ("limit", _nonnegative_int, None, "stop after this many lines"),
+            "--output": ("output", None, None, "write here instead of stdout"),
+        },
+        {"limit": None, "output": None},
+        _cmd_enumerate,
+    ),
+    "map": (
+        "apply the bijection in either direction",
+        (
+            ("direction", ("f", "finv"), "f maps a partition to its permutation, finv inverts"),
+            ("text", None, "the element to map, in the text formats; - reads it from stdin"),
+        ),
+        {},
+        {},
+        _cmd_map,
+    ),
+    "poset": (
+        "export a poset as DOT or JSON",
+        (("family", ("P", "Q"), "P: descent order; Q: refinement order"),),
+        {
+            "--n": ("n", int, None, "ground size"),
+            "--format": ("format", None, ("dot", "json"), None),
+            "--output": ("output", None, None, "write here instead of stdout"),
+        },
+        {"output": None},
+        _cmd_poset,
+    ),
+    "census": (
+        "CSV of 132-avoiding permutation counts by descent set",
+        (),
+        {
+            "--n": ("n", int, None, "ground size"),
+            "--output": ("output", None, None, "write here instead of stdout"),
+        },
+        {"output": None},
+        _cmd_census,
+    ),
+    "verify": (
+        "run verification checks",
+        (),
+        {
+            "--checks": (
+                "checks",
+                _parse_checks,
+                None,
+                "comma separated subset of: " + ", ".join(_CHECK_NAMES),
+            ),
+            "--n": ("n", int, None, "ground size"),
+        },
+        {"checks": ("all",)},
+        _cmd_verify,
+    ),
 }
 
 
@@ -361,8 +355,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _plain_args(argv) or build_parser().parse_args(argv)
+    *_, handler = _COMMANDS[args.command]
     try:
-        code = _HANDLERS[args.command](args)
+        code = handler(args)
         if sys.stdout is not None:
             sys.stdout.flush()
         return code

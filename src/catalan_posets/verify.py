@@ -255,8 +255,12 @@ def check_census_symmetry(n: int) -> VerificationReport:
         tally = [0] * len(census)
         for mask in _descent_masks(n):
             tally[mask] += 1
-    for mask, count in enumerate(census):
-        partner = reverse_complement_mask(n, mask)
+    # rev[m] is m's n - 1 bits reversed, doubled one bit at a time; the
+    # reverse complement of m is rev[~m], so partners run rev backwards
+    rev = [0]
+    for _ in range(n - 1):
+        rev = [r << 1 for r in rev] + [(r << 1) | 1 for r in rev]
+    for mask, (count, partner) in enumerate(zip(census, reversed(rev))):
         if count != census[partner]:
             note_violation(
                 violations,

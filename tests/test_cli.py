@@ -336,6 +336,138 @@ def test_every_error_is_one_short_line(capsys, argv, code):
     assert all(len(line.encode()) <= 198 for line in lines)
 
 
+ENUMERATE_USAGE = (
+    "usage: catalan-posets enumerate [-h] --n N [--limit LIMIT] [--output OUTPUT]\n"
+    "                                {av132,ncp}\n"
+)
+POSET_USAGE = (
+    "usage: catalan-posets poset [-h] --n N --format {dot,json} [--output OUTPUT]\n"
+    "                            {P,Q}\n"
+)
+VERIFY_USAGE = "usage: catalan-posets verify [-h] [--checks CHECKS] --n N\n"
+TOP_USAGE = "usage: catalan-posets [-h] {enumerate,map,poset,census,verify} ...\n"
+
+#: argv -> (exit status, stdout, stderr) at 80 columns: every help text,
+#: and the usage and error line of usage errors of each kind.
+HELP_AND_USAGE = {
+    ("--help",): (
+        0,
+        TOP_USAGE + "\n"
+        "Noncrossing partitions, 132-avoiding permutations, the bijection between them,\n"
+        "and the graded posets built on both families.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {enumerate,map,poset,census,verify}\n"
+        "    enumerate           list one family in canonical order\n"
+        "    map                 apply the bijection in either direction\n"
+        "    poset               export a poset as DOT or JSON\n"
+        "    census              CSV of 132-avoiding permutation counts by descent set\n"
+        "    verify              run verification checks\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    ),
+    ("enumerate", "--help"): (
+        0,
+        ENUMERATE_USAGE + "\n"
+        "positional arguments:\n"
+        "  {av132,ncp}      which family to list\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --n N            ground size\n"
+        "  --limit LIMIT    stop after this many lines\n"
+        "  --output OUTPUT  write here instead of stdout\n",
+        "",
+    ),
+    ("map", "--help"): (
+        0,
+        "usage: catalan-posets map [-h] {f,finv} text\n"
+        "\n"
+        "positional arguments:\n"
+        "  {f,finv}    f maps a partition to its permutation, finv inverts\n"
+        "  text        the element to map, in the text formats; - reads it from stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n",
+        "",
+    ),
+    ("poset", "--help"): (
+        0,
+        POSET_USAGE + "\n"
+        "positional arguments:\n"
+        "  {P,Q}                P: descent order; Q: refinement order\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --n N                ground size\n"
+        "  --format {dot,json}\n"
+        "  --output OUTPUT      write here instead of stdout\n",
+        "",
+    ),
+    ("census", "--help"): (
+        0,
+        "usage: catalan-posets census [-h] --n N [--output OUTPUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --n N            ground size\n"
+        "  --output OUTPUT  write here instead of stdout\n",
+        "",
+    ),
+    ("verify", "--help"): (
+        0,
+        VERIFY_USAGE + "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --checks CHECKS  comma separated subset of: all, coarsening, ranks, lemma,\n"
+        "                   selfdual, sperner\n"
+        "  --n N            ground size\n",
+        "",
+    ),
+    (): (
+        2,
+        "",
+        TOP_USAGE + "catalan-posets: error: the following arguments are required: command\n",
+    ),
+    ("verify", "--n", "x"): (
+        2,
+        "",
+        VERIFY_USAGE + "catalan-posets verify: error: argument --n: invalid int value: 'x'\n",
+    ),
+    ("poset", "R", "--n", "3", "--format", "dot"): (
+        2,
+        "",
+        POSET_USAGE + "catalan-posets poset: error: argument family: invalid choice: "
+        "'R' (choose from 'P', 'Q')\n",
+    ),
+    ("enumerate", "av132", "--n", "3", "--limit", "-1"): (
+        2,
+        "",
+        ENUMERATE_USAGE + "catalan-posets enumerate: error: argument --limit: "
+        "expected a non-negative integer, got -1\n",
+    ),
+    ("verify", "--checks", "bogus", "--n", "3"): (
+        2,
+        "",
+        VERIFY_USAGE + "catalan-posets verify: error: argument --checks: unknown check "
+        "'bogus' (known: all, coarsening, ranks, lemma, selfdual, sperner)\n",
+    ),
+}
+
+
+def test_help_and_usage_text_at_80_columns(monkeypatch, capsys):
+    # the whole text argparse writes, held while the parser is built from a table
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = {}
+    for argv in HELP_AND_USAGE:
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        outcomes[argv] = (excinfo.value.code, *capsys.readouterr())
+    assert outcomes == HELP_AND_USAGE
+
+
 def _no_terminal(fd=1):
     raise OSError("not a terminal")
 
@@ -731,19 +863,23 @@ def test_map_reads_element_from_stdin():
 # --- the plain route past argparse --------------------------------------------
 #
 # main hands a plain argv to cli._plain_args, which reads cli._COMMANDS, and
-# any other argv to the parser.  The table must say what the parser says, and
-# the plain route must give the parser's namespace or step aside.
+# any other argv to the parser, which build_parser makes from the same
+# table.  The parser must say what the table says, and the plain route
+# must give the parser's namespace or step aside.
 
 
 def parser_commands():
-    """build_parser's commands in the shape of cli._COMMANDS."""
+    """build_parser's commands in the shape of cli._COMMANDS, less the
+    handlers, which the parser does not hold."""
     parser = build_parser()
     assert [type(action) for action in parser._actions] == [
         argparse._HelpAction,
         argparse._SubParsersAction,
     ]
+    subparsers = parser._subparsers._group_actions[0]
+    helps = {action.dest: action.help for action in subparsers._choices_actions}
     commands = {}
-    for name, sub in parser._subparsers._group_actions[0].choices.items():
+    for name, sub in subparsers.choices.items():
         positionals, options, defaults = [], {}, {}
         assert isinstance(sub._actions[0], argparse._HelpAction)
         for action in sub._actions[1:]:
@@ -751,15 +887,15 @@ def parser_commands():
             assert type(action) is argparse._StoreAction and action.nargs is None
             if not action.option_strings:
                 assert action.required and action.type is None and action.default is None
-                positionals.append((action.dest, action.choices))
+                positionals.append((action.dest, action.choices, action.help))
                 continue
             (flag,) = action.option_strings
-            options[flag] = (action.dest, action.type, action.choices)
+            options[flag] = (action.dest, action.type, action.choices, action.help)
             if action.required:
                 assert action.default is None
             else:
                 defaults[action.dest] = action.default
-        commands[name] = (tuple(positionals), options, defaults)
+        commands[name] = (helps[name], tuple(positionals), options, defaults)
     return commands
 
 
@@ -767,8 +903,8 @@ def test_plain_table_agrees_with_the_parser():
     # dicts compare without order, so compare their items in order too
     def ordered(commands):
         return [
-            (name, positionals, list(options.items()), list(defaults.items()))
-            for name, (positionals, options, defaults) in commands.items()
+            (name, help_line, positionals, list(options.items()), list(defaults.items()))
+            for name, (help_line, positionals, options, defaults, *_) in commands.items()
         ]
 
     assert ordered(cli._COMMANDS) == ordered(parser_commands())

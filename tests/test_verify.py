@@ -25,6 +25,7 @@ from catalan_posets.verify import (
     check_coarsening,
     check_rank_statistics,
     check_self_duality,
+    check_sperner_transfer,
     construct_antiautomorphism,
     narayana,
     note_violation,
@@ -82,6 +83,8 @@ def test_census_symmetry_at_large_size():
         ("lemma", lambda n: 2 ** (n - 1)),  # one entry per descent set
         ("ranks", lambda n: 2 * n),  # one rank vector per family
         ("selfdual", lambda n: (math.comb(2 * n, n) // (n + 1)) ** 2),  # C_n^2 pairs
+        # Kreweras: NC(n) has comb(3n, n) / (2n + 1) intervals, C_n of them trivial
+        ("coarsening", lambda n: math.comb(3 * n, n) // (2 * n + 1) - catalan(n)),
     ],
 )
 def test_examined_is_the_closed_form_through_the_cap(name, closed_form):
@@ -90,6 +93,15 @@ def test_examined_is_the_closed_form_through_the_cap(name, closed_form):
     for n in range(1, CAPACITY["check " + name] + 1):
         [report] = run_checks((name,), n)
         assert (report.n, report.examined, report.passed) == (n, closed_form(n), True)
+
+
+def test_sperner_transfer_examines_every_pair_of_a_largest_rank_through_its_cap():
+    # the pulled-back antichain is a maximum one of P, as large as its
+    # largest rank, the largest Narayana number
+    for n in range(1, CAPACITY["sperner-transfer"] + 1):
+        width = max(narayana(n, k) for k in range(1, n + 1))
+        report = check_sperner_transfer(n)
+        assert (report.n, report.examined, report.passed) == (n, width * (width - 1) // 2, True)
 
 
 def test_sperner_suite_structure():

@@ -172,6 +172,13 @@ MUTANTS = (
         "the plain route takes a flag's value that starts with '-', or a missing one",
     ),
     Mutant(
+        "parser-required",
+        "cli.py",
+        "required=dest not in defaults",
+        "required=False",
+        "the parser takes a command line that leaves out --n or --format",
+    ),
+    Mutant(
         "capacity-off-by-one",
         "errors.py",
         "if n > cap:",
