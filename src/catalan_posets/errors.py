@@ -12,42 +12,39 @@ class CapacityError(Exception):
     """
 
 
-#: Largest n each size-limited operation supports.  Enumeration is cached
-#: per level, so its cap also bounds the memory repeated calls hold; the
-#: census is cached per n and holds one count per mask, and the
-#: descent-set counter is an index into it under the same cap; poset
-#: construction holds one bit row per element, and the lemma check
-#: compares the census with a tally of P's descent classes up to that
-#: cap.  A "check" entry is the largest size at which that
-#: check stays exhaustive within an interactive budget.  The last two are
-#: sizes inside a check: the sperner suite runs its two heavier parts at
-#: the smaller of their entry and its own size.
+#: Largest n each structure supports.  Enumeration is cached per level,
+#: so its cap also bounds the memory repeated calls hold; the census is
+#: cached per n and holds one count per mask, and the descent-set counter
+#: is an index into it; poset construction holds one bit row per element.
+#: A check runs to the cap of the structure its lines read (verify.CHECKS),
+#: within a budget of 0.25 s for each report line's first call in a fresh
+#: ``python -S`` (median of 5, tools/caps.py).  The last two entries are
+#: stated exceptions inside the sperner suite, which runs those lines at
+#: the smaller of their entry and its own size: sperner-dk takes 1.4 s at
+#: 9, and sperner-transfer (0.06 s at 9) is lifted with it, since either
+#: lift changes what ``verify --checks sperner --n 8`` runs.
 CAPACITY = {
     "enumeration": 12,
     "census": 16,
     "poset construction": 9,
-    "check coarsening": 9,
-    "check ranks": 9,
-    "check lemma": 16,
-    "check selfdual": 9,
-    "check sperner": 8,
     "sperner-dk": 6,
     "sperner-transfer": 7,
 }
 
 
-def check_capacity(operation: str, n: int) -> None:
-    """Raise CapacityError unless 1 <= n <= CAPACITY[operation].
+def check_capacity(operation: str, n: int, structure: str = "") -> None:
+    """Raise CapacityError unless 1 <= n <= CAPACITY[structure], the cap of
+    what operation reads, or CAPACITY[operation] without a structure.
 
     >>> check_capacity("enumeration", 12)
-    >>> check_capacity("poset construction", 0)
+    >>> check_capacity("check selfdual", 10, "poset construction")
     Traceback (most recent call last):
     ...
-    catalan_posets.errors.CapacityError: n must be at least 1, got 0
+    catalan_posets.errors.CapacityError: check selfdual supports n up to 9, got 10
     """
     if n < 1:
         raise CapacityError(f"n must be at least 1, got {n}")
-    cap = CAPACITY[operation]
+    cap = CAPACITY[structure or operation]
     if n > cap:
         raise CapacityError(f"{operation} supports n up to {cap}, got {n}")
 

@@ -47,14 +47,15 @@ def descent_mask(entries: Sequence[int]) -> int:
     return mask
 
 
-def reverse_complement_mask(n: int, mask: int) -> int:
-    """Bit-level reverse complement: position i is in the result iff n-i is
-    absent, so the mask's n-1 bits are reversed and then complemented.
-
-    >>> bin(reverse_complement_mask(4, 0b001))
-    '0b11'
+def reverse_complement_masks(n: int) -> list[int]:
+    """Entry m is the reverse complement of descent mask m: position i is
+    in it iff n-i is not in m.  Each list of bit-reversed masks doubles the
+    last, and the complement of m is its index read backwards.
     """
-    return int(f"{mask:0{n - 1}b}"[::-1], 2) ^ ((1 << (n - 1)) - 1)
+    rev = [0]
+    for _ in range(n - 1):
+        rev = [r << 1 for r in rev] + [(r << 1) | 1 for r in rev]
+    return rev[::-1]
 
 
 def format_descent_set(mask: int) -> str:

@@ -1,14 +1,10 @@
-"""The named verification checks behind the CLI; their caps are in CAPACITY.
+"""The named verification checks behind the CLI.
 
 Each check is one or more line functions, each exhaustive at its scale
 and returning one report whose violation list is expected to be empty;
-run_checks times each report line.  Caps reflect where exhaustive
-checking stays within interactive budgets; exceeding one raises a
-capacity error rather than silently thinning the check.
-
-The lemma check reads the census, the descent-set counter at every mask,
-and up to the poset cap compares it with a tally of P's descent-class
-table; sperner-dk reads every k's largest antichain union off one profile.
+run_checks times each report line.  A check runs to the cap of the
+structure its lines read, the census or the built posets (CHECKS,
+CAPACITY); beyond it, it raises a capacity error rather than thinning.
 
 Two checks are order reversals.  Coarsening a noncrossing partition
 strictly shrinks the descent set of its image permutation, so the
@@ -32,8 +28,8 @@ from .antichains import chain_cover_profile, max_antichain, max_antichain_elemen
 from .bijection import image_descent_mask, perm_to_ncp
 from .census import build_census
 from .errors import CAPACITY, check_capacity
-from .partitions import enumerate_ncp, format_partition
-from .permutations import format_descent_set, reverse_complement_mask
+from .partitions import format_partition
+from .permutations import format_descent_set, reverse_complement_masks
 from .poset import (
     _descent_masks,
     build_descent_poset,
@@ -157,8 +153,9 @@ def construct_antiautomorphism(n: int) -> tuple[int, ...]:
     for i, mask in enumerate(masks):
         classes.setdefault(mask, []).append(i)
     mapping = [0] * len(masks)
+    partners = reverse_complement_masks(n)
     for mask, members in classes.items():
-        partner = reverse_complement_mask(n, mask)
+        partner = partners[mask]
         targets = classes.get(partner, [])
         if len(targets) != len(members):
             raise RuntimeError(
@@ -217,21 +214,30 @@ def _descent_rank_sizes(n: int) -> tuple[int, ...]:
 
 
 def _refinement_rank_sizes(n: int) -> tuple[int, ...]:
-    """Rank sizes of the refinement poset: n - #blocks tallied over NC(n)."""
-    sizes = [0] * n
-    for q in enumerate_ncp(n):
-        sizes[n - len(q.blocks)] += 1
-    return tuple(sizes)
+    """Rank sizes of the refinement poset, n - #blocks, without listing
+    NC(n): rows[m][k] counts NC(m) with k blocks, by the block that holds
+    1.  Either 1 is alone, or j is its next block-mate, 2..j-1 hold any
+    partition, and 1 joins j's block in a partition of j..m."""
+    rows = [[1]]
+    for m in range(1, n + 1):
+        row = [0] + rows[m - 1]
+        for j in range(2, m + 1):
+            for a, inner in enumerate(rows[j - 2]):
+                for b, outer in enumerate(rows[m - j + 1]):
+                    row[a + b] += inner * outer
+        rows.append(row)
+    return tuple(rows[n][:0:-1])
 
 
 def check_rank_statistics(n: int) -> VerificationReport:
     """Rank sizes of both posets match the Narayana row, and so each other.
 
     The sizes are the posets' rank functions counted without building
-    either poset: descent-set sizes weighted by the census, and n - #blocks
-    over the noncrossing partitions.  That the row is palindromic and
-    unimodal is a statement about the Narayana numbers alone, which
-    tests/test_verify.py checks through 19 and 16.
+    either poset or listing either family: descent-set sizes weighted by
+    the census, and n - #blocks by a recurrence on the block holding 1.
+    That the row is palindromic and unimodal is a statement about the
+    Narayana numbers alone, which tests/test_verify.py checks through 19
+    and 16.
     """
     violations: list[str] = []
     sizes_p = _descent_rank_sizes(n)
@@ -255,12 +261,7 @@ def check_census_symmetry(n: int) -> VerificationReport:
         tally = [0] * len(census)
         for mask in _descent_masks(n):
             tally[mask] += 1
-    # rev[m] is m's n - 1 bits reversed, doubled one bit at a time; the
-    # reverse complement of m is rev[~m], so partners run rev backwards
-    rev = [0]
-    for _ in range(n - 1):
-        rev = [r << 1 for r in rev] + [(r << 1) | 1 for r in rev]
-    for mask, (count, partner) in enumerate(zip(census, reversed(rev))):
+    for mask, (count, partner) in enumerate(zip(census, reverse_complement_masks(n))):
         if count != census[partner]:
             note_violation(
                 violations,
@@ -324,34 +325,35 @@ def check_sperner_transfer(n: int) -> VerificationReport:
     return VerificationReport("sperner-transfer", n, pairs, tuple(violations))
 
 
-#: Each named check, in the order the "all" suite runs them, as the tuple
-#: of its line functions, one report line each; the cap of check `name`
-#: is CAPACITY["check " + name].
+#: Each named check, in the order the "all" suite runs them, as the
+#: structure its lines read, whose CAPACITY entry is the check's cap, and
+#: the tuple of its line functions, one report line each.
 CHECKS = {
-    "coarsening": (check_coarsening,),
-    "ranks": (check_rank_statistics,),
-    "lemma": (check_census_symmetry,),
-    "selfdual": (check_self_duality,),
-    "sperner": (check_sperner_width, check_sperner_dk, check_sperner_transfer),
+    "coarsening": ("poset construction", (check_coarsening,)),
+    "ranks": ("census", (check_rank_statistics,)),
+    "lemma": ("census", (check_census_symmetry,)),
+    "selfdual": ("poset construction", (check_self_duality,)),
+    "sperner": ("poset construction", (check_sperner_width, check_sperner_dk,
+                                       check_sperner_transfer)),
 }
 
 
 def run_checks(names: Sequence[str], n: int) -> list[VerificationReport]:
     """Run named checks at ground size n, timing each report line.
 
-    A named check asked for beyond its cap raises a capacity error.  With
-    "all" among the names, every check runs instead, in CHECKS order, each
-    at the largest size it supports, at most n.
+    A check's cap is that of the structure it reads, and a named check
+    asked for beyond it raises a capacity error.  With "all" among the
+    names, every check runs instead, in CHECKS order, each at the largest
+    size it supports, at most n.
     """
     clamp = "all" in names
     reports: list[VerificationReport] = []
     for name in CHECKS if clamp else names:
-        lines = CHECKS.get(name)
-        if lines is None:
+        if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
-        operation = "check " + name
-        use = min(n, CAPACITY[operation]) if clamp else n
-        check_capacity(operation, use)
+        structure, lines = CHECKS[name]
+        use = min(n, CAPACITY[structure]) if clamp else n
+        check_capacity(f"check {name}", use, structure)
         for line in lines:
             start = time.perf_counter()
             report = line(use)

@@ -41,6 +41,22 @@ def brute_descent_mask(perm: Sequence[int]) -> int:
     return mask
 
 
+def reverse_complement_mask(n: int, mask: int) -> int:
+    """Bit-level reverse complement: position i is in the result iff n-i is
+    absent, so the mask's n-1 bits, written out as text, are reversed and
+    then complemented."""
+    return int(f"{mask:0{n - 1}b}"[::-1], 2) ^ ((1 << (n - 1)) - 1)
+
+
+def refinement_rank_tally(n: int, partitions: Iterable[Blocks]) -> tuple[int, ...]:
+    """Rank sizes of the refinement order over the given partitions of
+    [n]: n - #blocks tallied one partition at a time."""
+    sizes = [0] * n
+    for blocks in partitions:
+        sizes[n - len(blocks)] += 1
+    return tuple(sizes)
+
+
 @lru_cache(maxsize=None)
 def split_censuses(n: int) -> tuple[tuple[int, ...], ...]:
     """tables[m][mask] = number of 132-avoiders of [m] with descent mask

@@ -16,7 +16,6 @@ from catalan_posets.partitions import SetPartition, enumerate_ncp, parse_partiti
 from catalan_posets.permutations import (
     descent_mask,
     enumerate_av132,
-    reverse_complement_mask,
 )
 from catalan_posets.poset import (
     build_descent_poset,
@@ -140,7 +139,7 @@ def test_criterion_07_census_symmetry():
     problems = []
     for n in range(1, 13):
         for mask in range(1 << (n - 1)):
-            partner = reverse_complement_mask(n, mask)
+            partner = support.reverse_complement_mask(n, mask)
             if count_by_descent_set(n, mask) != count_by_descent_set(n, partner):
                 problems.append(f"asymmetric count at n={n} mask={mask}")
     for n in range(1, 10):

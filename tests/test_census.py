@@ -12,7 +12,6 @@ from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.permutations import (
     descent_mask,
     enumerate_av132,
-    reverse_complement_mask,
 )
 from catalan_posets.verify import catalan
 
@@ -54,7 +53,7 @@ def test_symmetric_fault_passes_lemma_and_fails_the_split_recurrence(monkeypatch
     # size, and above the poset cap, where lemma's tally stops, only the
     # oracle sees it
     s, t = 0b1, 0b10
-    partners = reverse_complement_mask(n, s), reverse_complement_mask(n, t)
+    partners = support.reverse_complement_mask(n, s), support.reverse_complement_mask(n, t)
     assert len({s, t, *partners}) == 4 and s.bit_count() == t.bit_count()
     bad = list(build_census(n))
     for source, target in [(s, t), partners]:
@@ -77,9 +76,9 @@ def test_asymmetric_fault_fails_lemma_at_its_cap(monkeypatch):
     # one unit more at {1}, whose reverse complement is {1..n-2}: above the
     # poset cap lemma has no tally, and its symmetry test and its total
     # still see it
-    n = CAPACITY["check lemma"]
+    n = CAPACITY[verify.CHECKS["lemma"][0]]
     mask = 0b1
-    partner = reverse_complement_mask(n, mask)
+    partner = support.reverse_complement_mask(n, mask)
     assert partner == (1 << (n - 2)) - 1 != mask
     bad = list(build_census(n))
     bad[mask] += 1
@@ -113,7 +112,7 @@ def test_descent_count_symmetry_has_no_size_cap(n, draws):
     rng = random.Random(n)
     for _ in range(draws):
         mask = rng.getrandbits(n - 1)
-        partner = reverse_complement_mask(n, mask)
+        partner = support.reverse_complement_mask(n, mask)
         count = _minima_count(n, mask)
         assert count > 0
         assert count == _minima_count(n, partner)
@@ -210,7 +209,7 @@ def test_recursive_counter_symmetry():
     # count is invariant under reverse complement of the descent set
     for n in range(1, 13):
         for mask in range(1 << (n - 1)):
-            partner = reverse_complement_mask(n, mask)
+            partner = support.reverse_complement_mask(n, mask)
             assert count_by_descent_set(n, mask) == count_by_descent_set(n, partner)
 
 
@@ -309,7 +308,7 @@ def test_csv_matches_the_csv_module_writer():
 def test_lemma_failure_prints_positions_in_braces(monkeypatch):
     n = 12
     mask = 0b11 << 9  # positions {10,11}
-    partner = reverse_complement_mask(n, mask)
+    partner = support.reverse_complement_mask(n, mask)
     assert partner == 0b111111111 << 2  # positions {3,...,11}
     bad = list(build_census(n))
     bad[mask] += 1

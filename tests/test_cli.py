@@ -565,19 +565,20 @@ def test_verify_all_clamps_above_caps(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "12")
     assert code == 0
     assert "lemma n=12:" in out
-    assert f"selfdual n={CAPACITY['check selfdual']}:" in out
-    assert f"coarsening n={CAPACITY['check coarsening']}:" in out
+    assert "ranks n=12:" in out
+    assert f"selfdual n={CAPACITY[CHECKS['selfdual'][0]]}:" in out
+    assert f"coarsening n={CAPACITY[CHECKS['coarsening'][0]]}:" in out
 
 
 def test_verify_all_runs_lemma_at_its_cap(capsys):
-    cap = CAPACITY["check lemma"]
+    cap = CAPACITY[CHECKS["lemma"][0]]
     code, out, _ = run_cli(capsys, "verify", "--n", str(cap + 1))
     assert code == 0
     assert f"lemma n={cap}: examined={1 << (cap - 1)} pass\n" in out
 
 
 def test_verify_explicit_over_cap(capsys):
-    cap = CAPACITY["check selfdual"]
+    cap = CAPACITY[CHECKS["selfdual"][0]]
     code, out, err = run_cli(capsys, "verify", "--checks", "selfdual", "--n", str(cap + 1))
     assert code == 1
     assert out == ""
@@ -586,8 +587,9 @@ def test_verify_explicit_over_cap(capsys):
 
 @pytest.mark.parametrize("name", CHECKS)
 def test_each_named_check_over_its_cap_is_a_capacity_error(capsys, name):
-    # at cap + 1 only run_checks' own guard stops all but selfdual
-    cap = CAPACITY["check " + name]
+    # the cap is that of the structure the check reads, and the error line
+    # still names the check
+    cap = CAPACITY[CHECKS[name][0]]
     code, out, err = run_cli(capsys, "verify", "--checks", name, "--n", str(cap + 1))
     assert (code, out) == (1, "")
     assert err == f"error: check {name} supports n up to {cap}, got {cap + 1}\n"
@@ -597,7 +599,7 @@ def test_failed_check_exits_1_and_prints_its_violations(capsys, monkeypatch):
     def failing(n):
         return VerificationReport("ranks", n, 2 * n, ("sizes differ", "rows differ"))
 
-    monkeypatch.setitem(CHECKS, "ranks", (failing,))
+    monkeypatch.setitem(CHECKS, "ranks", ("census", (failing,)))
     code, out, err = run_cli(capsys, "verify", "--checks", "lemma,ranks", "--n", "5")
     assert code == 1
     assert out == (

@@ -17,7 +17,7 @@ from catalan_posets.permutations import (
     format_descent_set,
     format_permutation,
     parse_permutation,
-    reverse_complement_mask,
+    reverse_complement_masks,
 )
 from catalan_posets.poset import build_descent_poset
 from catalan_posets.verify import catalan
@@ -186,18 +186,27 @@ def test_positions_round_trip():
 def test_reverse_complement_examples():
     # {1,4,6} in size 8: absent positions are {2,3,5,7}; 8-i over those
     # gives {1,3,5,6}.
-    assert positions(8, reverse_complement_mask(8, 0b101001)) == (1, 3, 5, 6)
+    assert positions(8, support.reverse_complement_mask(8, 0b101001)) == (1, 3, 5, 6)
     # empty and full sets swap
-    assert reverse_complement_mask(5, 0) == 0b1111
-    assert reverse_complement_mask(5, 0b1111) == 0
+    assert support.reverse_complement_mask(5, 0) == 0b1111
+    assert support.reverse_complement_mask(5, 0b1111) == 0
 
 
 def test_reverse_complement_is_involution_exhaustive():
     for n in range(1, 10):
         for mask in range(1 << (n - 1)):
-            once = reverse_complement_mask(n, mask)
+            once = support.reverse_complement_mask(n, mask)
             assert 0 <= once < 1 << (n - 1)
-            assert reverse_complement_mask(n, once) == mask
+            assert support.reverse_complement_mask(n, once) == mask
+
+
+def test_reverse_complement_table_is_the_oracle_at_every_mask():
+    # the one runtime route, a table doubled one bit at a time, against the
+    # oracle's text reversal, through one past the census cap
+    for n in range(1, 18):
+        assert reverse_complement_masks(n) == [
+            support.reverse_complement_mask(n, mask) for mask in range(1 << (n - 1))
+        ]
 
 
 def test_reverse_complement_set_version_matches_mask_version():
@@ -205,4 +214,4 @@ def test_reverse_complement_set_version_matches_mask_version():
         for mask in range(1 << (n - 1)):
             present = positions(n, mask)
             image = {n - i for i in range(1, n) if i not in present}
-            assert set(positions(n, reverse_complement_mask(n, mask))) == image
+            assert set(positions(n, support.reverse_complement_mask(n, mask))) == image

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import random
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 import support
 from catalan_posets import poset as poset_module
 from catalan_posets.bijection import ncp_to_perm
+from catalan_posets.census import build_census
 from catalan_posets.cli import main
 from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.partitions import (
@@ -277,6 +279,31 @@ def test_json_round_trip():
 
 def test_json_ends_with_newline():
     assert poset_to_json(build_descent_poset(2)).endswith("\n")
+
+
+@pytest.mark.parametrize("n", range(1, CAPACITY["poset construction"] + 1))
+def test_cover_and_comparable_counts_are_the_closed_forms(n):
+    # Q has C(2n, n-2) covers; P's order is strict containment of descent
+    # sets, so its covers and comparable pairs are sums of census products
+    q_covers = sum(row.bit_count() for row in build_refinement_poset(n).cover_rows)
+    assert q_covers == (math.comb(2 * n, n - 2) if n >= 2 else 0)
+    census = build_census(n)
+    full = (1 << (n - 1)) - 1
+    p = build_descent_poset(n)
+    assert sum(row.bit_count() for row in p.cover_rows) == sum(
+        census[s] * census[s | 1 << b]
+        for s in range(full + 1)
+        for b in range(n - 1)
+        if not s >> b & 1
+    )
+    # every T properly above S is S plus a nonempty subset of its complement
+    above = 0
+    for s in range(full + 1):
+        rest = extra = full & ~s
+        while extra:
+            above += census[s] * census[s | extra]
+            extra = (extra - 1) & rest
+    assert sum(row.bit_count() for row in p.leq_rows) == math.comb(2 * n, n) // (n + 1) + above
 
 
 @pytest.mark.parametrize("n", range(1, CAPACITY["poset construction"] + 1))

@@ -22,10 +22,10 @@ from catalan_posets.permutations import (
     descent_mask,
     format_permutation,
     parse_permutation,
-    reverse_complement_mask,
 )
 from catalan_posets import poset as poset_module
 from catalan_posets.poset import _FEW_BITS, build_descent_poset, iter_bits
+from catalan_posets.verify import CHECKS
 
 sizes = st.integers(min_value=1, max_value=16)
 
@@ -103,7 +103,7 @@ def test_iter_bits_lists_the_set_bits_by_the_route_its_count_picks(row):
 @given(masked_sizes())
 def test_reverse_complement_is_involution(nm):
     n, mask = nm
-    assert reverse_complement_mask(n, reverse_complement_mask(n, mask)) == mask
+    assert support.reverse_complement_mask(n, support.reverse_complement_mask(n, mask)) == mask
 
 
 @given(random_permutations())
@@ -136,7 +136,7 @@ def test_partition_text_round_trip(blocks):
 def test_descent_counts_symmetric_under_reverse_complement(nm):
     n, mask = nm
     assert count_by_descent_set(n, mask) == count_by_descent_set(
-        n, reverse_complement_mask(n, mask)
+        n, support.reverse_complement_mask(n, mask)
     )
 
 
@@ -209,12 +209,17 @@ def near_misses(draw):
 elements = mostly(
     [*VALID_ELEMENTS, "132", "{1,3}/{2,4}", "{1}/{1}", ""], st.one_of(near_misses(), texts)
 )
-#: The caps each command's --n reaches: its own, or those of the checks.
+#: The caps each command's --n reaches: its own, or each size a verify
+#: line runs at, the caps of the structures the checks read and the two
+#: sperner sub-caps.
 CAPS = {
     "enumerate": [CAPACITY["enumeration"]],
     "poset": [CAPACITY["poset construction"]],
     "census": [CAPACITY["census"]],
-    "verify": sorted({cap for name, cap in CAPACITY.items() if name.startswith("check ")}),
+    "verify": sorted(
+        {CAPACITY[structure] for structure, _ in CHECKS.values()}
+        | {CAPACITY["sperner-dk"], CAPACITY["sperner-transfer"]}
+    ),
 }
 
 
@@ -223,8 +228,11 @@ def cli_calls(draw):
     """An argv for main, options in any order, and a text for stdin."""
     command = draw(mostly(["enumerate", "map", "poset", "census", "verify"]))
     caps = CAPS.get(command, [])
+    # verify also takes each cap itself, where one line runs at its cap
+    # while another is clamped
+    steps = (-1, 0, 1) if command == "verify" else (-1, 1)
     n = mostly(
-        ["1", "2", "3", "4", *(str(cap + step) for cap in caps for step in (-1, 1))],
+        ["1", "2", "3", "4", *(str(cap + step) for cap in caps for step in steps)],
         st.one_of(st.sampled_from(["0", "-1", "x", "", " 3", "\u0663"]), texts),
     )
     output = ["--output", draw(st.sampled_from([os.devnull, os.path.join(os.devnull, "x")]))]

@@ -45,7 +45,7 @@ def test_readme_example(capsys, example):
 
 def test_check_table_caps_are_the_capacity_table():
     caps = {name: cap for name, (cap, _) in CHECK_TABLE.items()}
-    assert caps == {name: CAPACITY["check " + name] for name in CHECKS}
+    assert caps == {name: CAPACITY[structure] for name, (structure, _) in CHECKS.items()}
     sperner, lemma = CHECK_TABLE["sperner"][1], CHECK_TABLE["lemma"][1]
     assert re.findall(r"\(to (\d+)\)", sperner) == [
         str(CAPACITY["sperner-dk"]),
@@ -60,7 +60,9 @@ def test_caps_paragraph_is_the_capacity_table():
         "census": r"the census \(`census --n`\) and the descent-set counter"
         r" \(`count_by_descent_set`\) at n = (\d+) \(2\^(\d+) masks",
         "poset construction": r"poset construction at n = (\d+)",
-        "check lemma": r"The lemma check runs to the census cap of n = (\d+)",
+        "census checks": r"the ranks and lemma checks run to the census cap of n = (\d+)",
+        "sperner-dk": r"`sperner-dk` at n = (\d+)",
+        "sperner-transfer": r"`sperner-transfer` at n = (\d+)",
     }
     stated = {op: re.findall(phrase, CAPS_PARAGRAPH) for op, phrase in phrases.items()}
     cap = CAPACITY["census"]
@@ -68,6 +70,11 @@ def test_caps_paragraph_is_the_capacity_table():
         "enumeration": [str(CAPACITY["enumeration"])],
         "census": [(str(cap), str(cap - 1))],
         "poset construction": [str(CAPACITY["poset construction"])],
-        "check lemma": [str(cap)],
+        "census checks": [str(cap)],
+        "sperner-dk": [str(CAPACITY["sperner-dk"])],
+        "sperner-transfer": [str(CAPACITY["sperner-transfer"])],
     }
-    assert CAPACITY["check lemma"] == cap
+    assert [name for name, (structure, _) in CHECKS.items() if structure == "census"] == [
+        "ranks",
+        "lemma",
+    ]

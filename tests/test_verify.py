@@ -9,11 +9,10 @@ from catalan_posets import verify
 from catalan_posets.antichains import max_antichain
 from catalan_posets.bijection import ncp_to_perm
 from catalan_posets.errors import CAPACITY, CapacityError
-from catalan_posets.partitions import parse_partition
+from catalan_posets.partitions import enumerate_ncp, parse_partition
 from catalan_posets.permutations import (
     descent_mask,
     enumerate_av132,
-    reverse_complement_mask,
 )
 from catalan_posets.poset import build_descent_poset, build_refinement_poset
 from catalan_posets.verify import (
@@ -46,6 +45,14 @@ def test_rank_counts_are_the_posets_rank_sizes(n):
     assert verify._refinement_rank_sizes(n) == build_refinement_poset(n).rank_sizes()
 
 
+def test_rank_recurrence_is_the_enumeration_tally_through_the_enumeration_cap():
+    # the recurrence on the block that holds 1 lists nothing; the tally
+    # counts blocks over every partition the enumeration lists
+    for n in range(1, CAPACITY["enumeration"] + 1):
+        tally = support.refinement_rank_tally(n, (q.blocks for q in enumerate_ncp(n)))
+        assert verify._refinement_rank_sizes(n) == tally
+
+
 @pytest.mark.parametrize(
     "counter, family",
     [("_descent_rank_sizes", "descent"), ("_refinement_rank_sizes", "refinement")],
@@ -60,10 +67,11 @@ def test_rank_statistics_reports_a_wrong_count(monkeypatch, counter, family):
         return tuple(sizes)
 
     monkeypatch.setattr(verify, counter, off_by_one)
-    report = check_rank_statistics(9)
-    assert not report.passed
-    assert any(f"{family} poset rank sizes" in v for v in report.violations)
-    assert report.examined == 18
+    n = CAPACITY[CHECKS["ranks"][0]]
+    [report] = run_checks(("ranks",), n)
+    assert report.summary_line() == f"ranks n={n}: examined={2 * n} FAIL"
+    assert len(report.violations) == 1
+    assert report.violations[0].startswith(f"{family} poset rank sizes")
 
 
 def test_census_symmetry_report():
@@ -90,7 +98,7 @@ def test_census_symmetry_at_large_size():
 def test_examined_is_the_closed_form_through_the_cap(name, closed_form):
     # a check that skipped part of its domain above the sizes pinned
     # elsewhere would still pass; its examined= would not
-    for n in range(1, CAPACITY["check " + name] + 1):
+    for n in range(1, CAPACITY[CHECKS[name][0]] + 1):
         [report] = run_checks((name,), n)
         assert (report.n, report.examined, report.passed) == (n, closed_form(n), True)
 
@@ -140,6 +148,28 @@ def test_sperner_lines_fail_on_a_cut_loose_bottom(monkeypatch):
     assert reports[0].violations == ("width 21 != largest rank size 20",)
 
 
+def test_sperner_width_fails_on_a_cut_loose_bottom_at_its_cap(monkeypatch):
+    # the same fault in P at the poset cap, where sperner-width runs:
+    # the bottom joins a largest rank of 1764, and only the width line,
+    # the one line at 9, sees it
+    n = CAPACITY[CHECKS["sperner"][0]]
+    true = build_descent_poset(n)
+    assert max(true.rank_sizes()) == narayana(n, 5) == 1764
+    broken = true._replace(
+        leq_rows=(1,) + true.leq_rows[1:], cover_rows=(0,) + true.cover_rows[1:]
+    )
+    monkeypatch.setattr(
+        verify, "build_descent_poset", lambda m: broken if m == n else build_descent_poset(m)
+    )
+    reports = run_checks(("sperner",), n)
+    assert [r.summary_line() for r in reports] == [
+        "sperner-width n=9: examined=4862 FAIL",
+        "sperner-dk n=6: examined=6 pass",
+        "sperner-transfer n=7: examined=15225 pass",
+    ]
+    assert reports[0].violations == ("width 1765 != largest rank size 1764",)
+
+
 def test_run_checks_each_name_at_small_size():
     reports = run_checks(tuple(CHECKS), 5)
     # sperner expands to three reports
@@ -154,25 +184,32 @@ def test_run_checks_times_each_line_and_direct_calls_report_zero():
 
 
 def test_run_checks_clamps_when_asked():
-    # "all" runs every check, each clamped to its cap; other names are ignored
-    reports = run_checks(("all",), 12)
+    # "all" runs every check, each clamped to its cap; other names are
+    # ignored.  A check's cap is its structure's: the census for ranks and
+    # lemma, the built posets for the rest, and sperner's two sub-caps
+    # inside that
+    reports = run_checks(("all",), 16)
     assert isinstance(reports, list)
-    assert [(r.name, r.n) for r in reports] == [
-        ("coarsening", CAPACITY["check coarsening"]),
-        ("ranks", CAPACITY["check ranks"]),
-        ("lemma", 12),
-        ("selfdual", CAPACITY["check selfdual"]),
-        ("sperner-width", CAPACITY["check sperner"]),
-        ("sperner-dk", CAPACITY["sperner-dk"]),
-        ("sperner-transfer", CAPACITY["sperner-transfer"]),
+    assert [(r.name, r.n, r.passed) for r in reports] == [
+        ("coarsening", 9, True),
+        ("ranks", 16, True),
+        ("lemma", 16, True),
+        ("selfdual", 9, True),
+        ("sperner-width", 9, True),
+        ("sperner-dk", 6, True),
+        ("sperner-transfer", 7, True),
     ]
+    assert {structure for structure, _ in CHECKS.values()} == {"census", "poset construction"}
+    assert sorted(CAPACITY) == sorted(
+        ["enumeration", "census", "poset construction", "sperner-dk", "sperner-transfer"]
+    )
     lines = [r.summary_line() for r in run_checks(("all",), 5)]
     assert [r.summary_line() for r in run_checks(("ranks", "all"), 5)] == lines
 
 
 def test_run_checks_rejects_over_cap_without_clamp():
     with pytest.raises(CapacityError):
-        run_checks(("selfdual",), CAPACITY["check selfdual"] + 1)
+        run_checks(("selfdual",), CAPACITY[CHECKS["selfdual"][0]] + 1)
 
 
 def test_run_checks_rejects_unknown_name():
@@ -186,8 +223,8 @@ def test_run_checks_rejects_bad_n():
 
 
 def test_all_checks_pass_at_their_caps():
-    for name in CHECKS:
-        for report in run_checks((name,), CAPACITY["check " + name]):
+    for name, (structure, _) in CHECKS.items():
+        for report in run_checks((name,), CAPACITY[structure]):
             assert report.passed, report.summary_line()
 
 
@@ -374,7 +411,7 @@ def test_single_element_poset_pairs_with_itself():
 
 
 def test_check_coarsening_passes():
-    for n in range(1, CAPACITY["check coarsening"] + 1):
+    for n in range(1, CAPACITY[CHECKS["coarsening"][0]] + 1):
         report = check_coarsening(n)
         assert report.passed
         assert report.name == "coarsening"
@@ -388,7 +425,7 @@ def test_check_coarsening_examined_counts_strict_pairs():
 
 
 def test_check_self_duality_passes():
-    for n in range(1, CAPACITY["check selfdual"] + 1):
+    for n in range(1, CAPACITY[CHECKS["selfdual"][0]] + 1):
         report = check_self_duality(n)
         assert report.passed
         assert report.name == "selfdual"
@@ -401,7 +438,7 @@ def test_permutation_level_description_of_pairing():
     mapping = construct_antiautomorphism(5)
     perms = list(enumerate_av132(5))
     for i, p in enumerate(perms):
-        assert descent_mask(perms[mapping[i]]) == reverse_complement_mask(
+        assert descent_mask(perms[mapping[i]]) == support.reverse_complement_mask(
             5, descent_mask(p)
         )
 

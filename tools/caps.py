@@ -7,11 +7,11 @@ starts R (default 5) fresh ``python -S`` children per size, with the
 repository's src on PYTHONPATH.  A child imports the package, calls the
 line once and prints the seconds the call took, so every build the line
 needs is billed to it, as on a first ``verify`` run; the script reports
-the median.  Each line runs at its check's cap under CAPACITY as it is,
-and at the cap plus one with every CAPACITY entry raised by one: the size
-a lift of that cap would allow.  The sperner-dk and sperner-transfer
-lines cut their size to their own entries, so their columns show the
-size they ran at.  ``--at N`` runs every line at N and N + 1 in place of
+the median.  Each line runs at its check's cap, the CAPACITY entry of the
+structure the check reads, and at the cap plus one with every CAPACITY
+entry raised by one: the size a lift of that cap would allow.  The
+sperner-dk and sperner-transfer lines cut their size to their own
+entries, so their columns show the size they ran at.  ``--at N`` runs every line at N and N + 1 in place of
 the caps, for a quick look.
 
 One row per line: its name, then per size the n it ran at, the median
@@ -45,7 +45,7 @@ name, index, n, lift = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.
 for key in CAPACITY:
     CAPACITY[key] += lift
 start = time.perf_counter()
-report = CHECKS[name][index](n)
+report = CHECKS[name][1][index](n)
 print(time.perf_counter() - start, report.name, report.n, report.examined, report.passed)
 """
 
@@ -70,8 +70,8 @@ def table(runs: int, at: int | None) -> list[str]:
     """The header and one row per report line."""
     rows = [f"{'line':17} {'n':>3} {'median s':>9} {'examined':>9} {'':4}"
             f" | {'n':>3} {'median s':>9} {'examined':>9}"]
-    for name, lines in CHECKS.items():
-        size = CAPACITY["check " + name] if at is None else at
+    for name, (structure, lines) in CHECKS.items():
+        size = CAPACITY[structure] if at is None else at
         for index in range(len(lines)):
             row = ""
             for n, lift in (size, 0), (size + 1, 1):

@@ -224,9 +224,9 @@ MUTANTS = (
     Mutant(
         "reverse-complement-no-complement",
         "permutations.py",
-        '[::-1], 2) ^ ((1 << (n - 1)) - 1)',
-        "[::-1], 2)",
-        "reverse_complement_mask only reverses",
+        "return rev[::-1]",
+        "return rev",
+        "reverse_complement_masks only reverses",
     ),
     Mutant(
         "iter-bits-index",
@@ -327,6 +327,13 @@ MUTANTS = (
         "a wrong rank count of the descent poset passes",
     ),
     Mutant(
+        "rank-recurrence-singleton",
+        "verify.py",
+        "row = [0] + rows[m - 1]",
+        "row = [0] * (m + 1)",
+        "Q's rank recurrence drops the case where 1 is a singleton",
+    ),
+    Mutant(
         "tally-bound",
         "verify.py",
         'if n <= CAPACITY["poset construction"]:',
@@ -350,9 +357,16 @@ MUTANTS = (
     Mutant(
         "run-checks-clamp",
         "verify.py",
-        "use = min(n, CAPACITY[operation]) if clamp else n",
+        "use = min(n, CAPACITY[structure]) if clamp else n",
         "use = n",
         "all runs each check at n, over its cap",
+    ),
+    Mutant(
+        "ranks-structure",
+        "verify.py",
+        '"ranks": ("census", (check_rank_statistics,)),',
+        '"ranks": ("poset construction", (check_rank_statistics,)),',
+        "ranks stops at the poset cap, below the census it reads",
     ),
 )
 
