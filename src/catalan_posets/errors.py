@@ -12,17 +12,13 @@ class CapacityError(Exception):
     """
 
 
-#: Largest n each structure supports.  Enumeration is cached per level,
-#: so its cap also bounds the memory repeated calls hold; the census is
-#: cached per n and holds one count per mask, and the descent-set counter
-#: is an index into it; poset construction holds one bit row per element.
-#: A check runs to the cap of the structure its lines read (verify.CHECKS),
-#: within a budget of 0.25 s for each report line's first call in a fresh
-#: ``python -S`` (median of 5, tools/caps.py).  The last two entries are
-#: stated exceptions inside the sperner suite, which runs those lines at
-#: the smaller of their entry and its own size: sperner-dk takes 1.4 s at
-#: 9, and sperner-transfer (0.06 s at 9) is lifted with it, since either
-#: lift changes what ``verify --checks sperner --n 8`` runs.
+#: Largest n each structure supports: enumeration is cached per level, the
+#: census per n (one count per mask), and a poset holds one bit row per
+#: element.  A check runs to the cap of the structure it reads
+#: (verify.CHECKS), and each report line's first call there, in a fresh
+#: ``python -S``, stays under 0.25 s (median of 5, tools/caps.py).  The
+#: last two are stated exceptions the sperner suite cuts its size to:
+#: sperner-dk takes 0.76 s at 9, and lifting either changes its run at 8.
 CAPACITY = {
     "enumeration": 12,
     "census": 16,
@@ -37,6 +33,10 @@ def check_capacity(operation: str, n: int, structure: str = "") -> None:
     what operation reads, or CAPACITY[operation] without a structure.
 
     >>> check_capacity("enumeration", 12)
+    >>> check_capacity("poset construction", 0)
+    Traceback (most recent call last):
+    ...
+    catalan_posets.errors.CapacityError: n must be at least 1, got 0
     >>> check_capacity("check selfdual", 10, "poset construction")
     Traceback (most recent call last):
     ...
