@@ -25,7 +25,9 @@ from .poset import GradedPoset, iter_bits
 
 
 def _strict_rows(poset: GradedPoset) -> list[int]:
-    return [poset.leq_rows[i] & ~(1 << i) for i in range(poset.size)]
+    """Each order row less its own bit, which a GradedPoset's leq_rows
+    always hold, being reflexive: the rows of the strict order."""
+    return [row ^ (1 << i) for i, row in enumerate(poset.leq_rows)]
 
 
 def hopcroft_karp(

@@ -15,17 +15,18 @@ plain argv (a command, then exact flags each with a value and positionals,
 none starting with '-' but a lone '-', all valid) is read from it by
 _plain_args, without building the parser; any other argv (help, --n=5, cut
 flags, --, negative numbers, errors) goes to the parser that build_parser
-makes from it.
+makes from it.  So argparse is imported only to write help, usage or an
+error: by build_parser, and by a converter that rejects its value.  os is
+imported only to size the help and to silence a closed stdout.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
 import sys
 from collections.abc import Iterable, Sequence
 from functools import partial
 from itertools import islice
+from types import SimpleNamespace
 
 from .bijection import ncp_to_perm, perm_to_ncp
 from .census import census_to_csv
@@ -79,14 +80,16 @@ _CHECK_NAMES = ("all", *CHECKS)
 
 def _parse_checks(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
+    unknown = [name for name in names if name not in _CHECK_NAMES]
+    if names and not unknown:
+        return names
+    from argparse import ArgumentTypeError  # only a bad value needs argparse
+
     if not names:
-        raise argparse.ArgumentTypeError("no checks given")
-    for name in names:
-        if name not in _CHECK_NAMES:
-            raise argparse.ArgumentTypeError(
-                f"unknown check {name!r} (known: {', '.join(_CHECK_NAMES)})"
-            )
-    return names
+        raise ArgumentTypeError("no checks given")
+    raise ArgumentTypeError(
+        f"unknown check {unknown[0]!r} (known: {', '.join(_CHECK_NAMES)})"
+    )
 
 
 def _nonnegative_int(text: str) -> int:
@@ -95,22 +98,16 @@ def _nonnegative_int(text: str) -> int:
             return value
     except ValueError:
         text = repr(text)
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    from argparse import ArgumentTypeError
 
-
-class _Parser(argparse.ArgumentParser):
-    """The parser of the command line and of each subcommand."""
-
-    def error(self, message: str):
-        """Exit 2 after the usage and one error line, as argparse does, with
-        the line bounded by _error_line."""
-        self.print_usage(sys.stderr)
-        self.exit(2, _error_line(f"{self.prog}: error: ", message) + "\n")
+    raise ArgumentTypeError(f"expected a non-negative integer, got {text}")
 
 
 def _help_width() -> int:
     """COLUMNS if a positive integer, else the width of the terminal on stdout,
     else 80; less 2, as argparse takes it."""
+    import os
+
     try:
         columns = int(os.environ["COLUMNS"])
     except (KeyError, ValueError):
@@ -123,7 +120,19 @@ def _help_width() -> int:
     return (columns or 80) - 2
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of the command line, made from _COMMANDS."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """The parser of the command line and of each subcommand."""
+
+        def error(self, message: str):
+            """Exit 2 after the usage and one error line, as argparse does,
+            with the line bounded by _error_line."""
+            self.print_usage(sys.stderr)
+            self.exit(2, _error_line(f"{self.prog}: error: ", message) + "\n")
+
     # subparsers do not inherit formatter_class
     formatter = partial(argparse.HelpFormatter, width=_help_width())
     parser = _Parser(
@@ -147,15 +156,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
-    """The namespace build_parser's parser makes of argv when argv is plain,
-    else None.  Plain means: the first token names a command; each option
-    is an exact flag followed by a value that does not start with '-';
-    each positional is '-' or does not start with '-'; each value converts
-    and is among its choices; no positional is missing or extra, and every
-    required option is given.  Anything else (-h, --n=5, a cut flag, --, a
-    negative number, a bad or missing value) is left to the parser, which
-    alone writes help, usage and errors.
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The attributes of the namespace build_parser's parser makes of argv,
+    in a SimpleNamespace, when argv is plain, else None.  Plain means: the
+    first token names a command; each option is an exact flag followed by
+    a value that does not start with '-'; each positional is '-' or does
+    not start with '-'; each value converts and is among its choices; no
+    positional is missing or extra, and every required option is given.
+    Anything else (-h, --n=5, a cut flag, --, a negative number, a bad or
+    missing value) is left to the parser, which alone writes help, usage
+    and errors.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -178,7 +188,7 @@ def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
             convert = None
         try:
             value = convert(token) if convert else token
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except Exception:  # the parser converts it again and reports or raises
             return None
         if choices is not None and value not in choices:
             return None
@@ -187,7 +197,7 @@ def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
     dests = [each[0] for each in (*positionals, *options.values())]
     if len(values) != len(dests):  # a positional or a required option is missing
         return None
-    return argparse.Namespace(command=argv[0], **{dest: values[dest] for dest in dests})
+    return SimpleNamespace(command=argv[0], **{dest: values[dest] for dest in dests})
 
 
 def _stdio(name: str):
@@ -238,7 +248,7 @@ def _write(chunks: Iterable[str], path: str | None) -> None:
             data = data[binary.write(data) :]
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     lines = (_av132_text if args.kind == "av132" else _ncp_text)(args.n)
     if args.limit is not None:
         # islice takes at most sys.maxsize, which no family comes near
@@ -250,7 +260,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_map(args: argparse.Namespace) -> int:
+def _cmd_map(args: SimpleNamespace) -> int:
     # stdin carries elements longer than the OS allows for one argument
     text = _stdio("stdin").read().removesuffix("\n") if args.text == "-" else args.text
     if args.direction == "f":
@@ -261,7 +271,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_poset(args: argparse.Namespace) -> int:
+def _cmd_poset(args: SimpleNamespace) -> int:
     builder = build_descent_poset if args.family == "P" else build_refinement_poset
     poset = builder(args.n)
     writer = iter_poset_dot if args.format == "dot" else iter_poset_json
@@ -269,12 +279,12 @@ def _cmd_poset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_census(args: argparse.Namespace) -> int:
+def _cmd_census(args: SimpleNamespace) -> int:
     _write((census_to_csv(args.n),), args.output)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     out = _stdio("stdout")
     reports = run_checks(args.checks, args.n)
     for report in reports:
@@ -289,7 +299,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 #: positionals as (dest, choices, help), its options as flag -> (dest,
 #: type, choices, help), and the defaults of the options it may leave out;
 #: every other option is required.  build_parser makes the parser of it,
-#: and _plain_args reads a plain argv by it.
+#: and _plain_args reads a plain argv by it; a handler reads its arguments
+#: as attributes of the namespace of either.
 _COMMANDS = {
     "enumerate": (
         "list one family in canonical order",
@@ -365,6 +376,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(error, BrokenPipeError):
             # the reader closed stdout: send what is still buffered to devnull,
             # so that the interpreter's own flush at exit does not fail again
+            import os
+
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _note(_error_line("error: ", str(error)))
         return 1

@@ -8,12 +8,12 @@ noncrossing.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 
 from .errors import check_capacity
+from .permutations import _decimal_list
 
 #: A block as the enumeration builds it: a tuple of elements, or its text.
 _Block = tuple[int, ...] | str
@@ -181,13 +181,6 @@ def format_partition(partition: SetPartition) -> str:
     return "{" + "}/{".join(",".join(map(str, block)) for block in blocks) + "}"
 
 
-#: One block: ASCII decimal numbers without sign or leading zero, joined by
-#: commas inside braces; a partition is one or more blocks joined by "/".
-_BLOCK = r"\{(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*\}"
-_BLOCK_TEXT = re.compile(_BLOCK)
-_PARTITION_TEXT = re.compile(f"{_BLOCK}(?:/{_BLOCK})*")
-
-
 def parse_partition(text: str) -> SetPartition:
     """Parse the format_partition rendering; blocks may come in any order.
 
@@ -196,12 +189,19 @@ def parse_partition(text: str) -> SetPartition:
     """
     if not text:
         raise ValueError("empty partition text")
-    if _PARTITION_TEXT.fullmatch(text) is None:
-        bad = next(c for c in text.split("/") if _BLOCK_TEXT.fullmatch(c) is None)
+    # one or more blocks joined by "/", each the _decimal_list of its
+    # elements in braces: cut at each "}/{", the text between the outer
+    # braces is then the blocks' element lists, which join into one
+    blocks = text[1:-1].split("}/{")
+    numbers = _decimal_list(",".join(blocks))
+    if text[0] != "{" or text[-1] != "}" or numbers is None:
+        bad = next(
+            c
+            for c in text.split("/")
+            if not (c[:1] == "{" and c[-1:] == "}" and _decimal_list(c[1:-1]))
+        )
         raise ValueError(f"malformed block text: {bad!r}")
-    blocks = [chunk[1:-1].split(",") for chunk in text.split("/")]
-    n = sum(map(len, blocks))
-    longest = max(len(number) for block in blocks for number in block)
-    if longest > len(str(n)):  # no leading zeros, so above n
-        raise ValueError(f"element of {longest} digits outside 1..{n}")
-    return SetPartition.from_blocks(map(int, block) for block in blocks)
+    longest = max(map(len, numbers))
+    if longest > len(str(len(numbers))):  # no leading zeros, so above n
+        raise ValueError(f"element of {longest} digits outside 1..{len(numbers)}")
+    return SetPartition.from_blocks(map(int, block.split(",")) for block in blocks)

@@ -8,7 +8,6 @@ sets are int masks, with bit i-1 set when position i is a descent.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 
@@ -166,10 +165,24 @@ def _join_permutation(p: tuple[int, ...]) -> str:
     return ",".join(map(str, p))
 
 
-#: Either rendering: a run of ASCII digits, or two or more ASCII decimal
-#: numbers without sign or leading zero, joined by commas.  A zero entry
-#: passes here and is rejected by check_permutation.
-_PERMUTATION_TEXT = re.compile(r"[0-9]+|(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))+")
+def _decimal_list(text: str) -> list[str] | None:
+    """The numbers of text if it is ASCII decimal numbers without sign or
+    leading zero joined by commas, else None.  A zero number passes.
+
+    >>> _decimal_list("10,0,7"), _decimal_list("1,07"), _decimal_list("1,,2")
+    (['10', '0', '7'], None, None)
+    """
+    numbers = text.split(",")
+    if not (text.isascii() and "".join(numbers).isdigit() and all(numbers)):
+        return None
+    # a leading zero is a 0 after the start or a comma, then a digit
+    marked = "," + text
+    at = marked.find(",0")
+    while at >= 0:
+        if marked[at + 2 : at + 3].isdigit():
+            return None
+        at = marked.find(",0", at + 2)
+    return numbers
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:
@@ -182,14 +195,18 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     """
     if not text:
         raise ValueError("empty permutation text")
-    if _PERMUTATION_TEXT.fullmatch(text) is None:
-        raise ValueError(f"malformed permutation text: {text!r}")
-    if "," in text:
-        numbers = text.split(",")
+    # either a run of ASCII digits, or two or more decimal numbers; a zero
+    # entry passes here and is rejected by check_permutation
+    if "," not in text:
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"malformed permutation text: {text!r}")
+        entries = tuple(map(int, text))
+    else:
+        numbers = _decimal_list(text)
+        if numbers is None:
+            raise ValueError(f"malformed permutation text: {text!r}")
         longest = max(map(len, numbers))
         if longest > len(str(len(numbers))):  # no leading zeros, so above n
             raise ValueError(f"entry of {longest} digits outside 1..{len(numbers)}")
         entries = tuple(map(int, numbers))
-    else:
-        entries = tuple(map(int, text))
     return check_permutation(entries)

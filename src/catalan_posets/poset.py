@@ -15,9 +15,8 @@ masked by the next rank's members.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from .errors import check_capacity
@@ -25,37 +24,41 @@ from .partitions import SetPartition, enumerate_ncp, format_partition
 from .permutations import _join_permutation, descent_mask, enumerate_av132
 
 
-_ONE = re.compile("1")
 #: iter_bits lists a row with fewer set bits than this bit by bit.
 _FEW_BITS = 16
 
 
-def iter_bits(mask: int) -> Iterable[int]:
-    """Indices of set bits, lowest first, for one pass.
+def iter_bits(mask: int) -> list[int]:
+    """Indices of set bits, lowest first.
 
     A row with fewer than _FEW_BITS set bits, the empty row among them,
-    is listed bit by bit into a list (take the lowest set bit, clear it),
-    a few full-width integer operations per set bit; any other row is an
-    iterator over one scan of its binary digits, reversed so that a
-    digit's offset is its bit index, at a cost that follows the width.
-    The rule is a count of set bits, not a share of the width, because
-    that is where the two routes cross: timed over random rows 8 to
-    40,000 bits wide (Python 3.11, shared 2-vCPU machine), bit by bit is
-    the faster one below about 16 set bits at every width and the slower
-    one above about 32.  So Q's sparse cover rows go bit by bit (all of
-    Q8's, 1,430 bits wide with 5.6 set on average, in 1.8-3.9 ms in place
-    of 6.4-7.5 ms), while P's dense rows keep the scan.  A negative mask
-    is no bit row and raises ValueError."""
+    is listed bit by bit (take the lowest set bit, clear it), a few
+    full-width integer operations per set bit; any other row by a
+    str.find loop over its binary digits, reversed so that a digit's
+    offset is its bit index, at a cost that follows the width.  The rule
+    is a count of set bits, not a share of the width, because that is
+    where the two routes cross: timed over random rows 8 to 40,000 bits
+    wide (Python 3.11, shared 2-vCPU machine), bit by bit is the faster
+    one below about 16 set bits at every width and the slower one above
+    about 32.  So Q's sparse cover rows go bit by bit (all of Q8's, 1,430
+    bits wide with 5.6 set on average, in 3.0-3.2 ms in place of 6.3-6.4
+    ms), while P's dense rows take the find loop.  A negative mask is no
+    bit row and raises ValueError."""
     if mask < 0:
         raise ValueError("a bit row cannot be negative")
+    bits = []
     if mask.bit_count() < _FEW_BITS:
-        bits = []
         while mask:
             low = mask & -mask
             bits.append(low.bit_length() - 1)
             mask ^= low
         return bits
-    return map(re.Match.start, _ONE.finditer(bin(mask)[:1:-1]))
+    digits = bin(mask)[:1:-1]
+    at = digits.find("1")
+    while at >= 0:
+        bits.append(at)
+        at = digits.find("1", at + 1)
+    return bits
 
 
 def properly_inside(masks: Sequence[int], width: int) -> list[int]:
@@ -84,8 +87,9 @@ class GradedPoset(
 ):
     """A finite graded poset over a fixed tuple of elements.
 
-    leq_rows[i] has bit j set when element i is below-or-equal element j;
-    cover_rows[i] has bit j set when j covers i.
+    leq_rows[i] has bit j set when element i is below-or-equal element j,
+    so bit i always: the rows are reflexive by definition.  cover_rows[i]
+    has bit j set when j covers i.
     """
 
     __slots__ = ()

@@ -120,7 +120,7 @@ def check_coarsening(n: int) -> VerificationReport:
     q_poset = build_refinement_poset(n)
     fmask = [image_descent_mask(q) for q in q_poset.elements]
     outside = [~row for row in properly_inside(fmask, n - 1)]
-    examined = sum(row.bit_count() for row in q_poset.leq_rows) - q_poset.size
+    examined = sum(map(int.bit_count, q_poset.leq_rows)) - q_poset.size
     violations: list[str] = []
     for i, (row, mask) in enumerate(zip(q_poset.leq_rows, fmask)):
         bad = row & outside[mask]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import accumulate, combinations, permutations
@@ -46,6 +47,38 @@ def reverse_complement_mask(n: int, mask: int) -> int:
     absent, so the mask's n-1 bits, written out as text, are reversed and
     then complemented."""
     return int(f"{mask:0{n - 1}b}"[::-1], 2) ^ ((1 << (n - 1)) - 1)
+
+
+#: Either permutation rendering: a run of ASCII digits, or two or more
+#: ASCII decimal numbers without sign or leading zero, joined by commas.
+PERMUTATION_TEXT = re.compile(r"[0-9]+|(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))+")
+#: One block: such numbers joined by commas inside braces; a partition is
+#: one or more blocks joined by "/".
+_BLOCK = r"\{(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*\}"
+BLOCK_TEXT = re.compile(_BLOCK)
+PARTITION_TEXT = re.compile(f"{_BLOCK}(?:/{_BLOCK})*")
+
+
+def permutation_text_error(text: str) -> str | None:
+    """The message parse_permutation gives for text that the grammar
+    rejects, or None for text it accepts."""
+    if not text:
+        return "empty permutation text"
+    if PERMUTATION_TEXT.fullmatch(text) is None:
+        return f"malformed permutation text: {text!r}"
+    return None
+
+
+def partition_text_error(text: str) -> str | None:
+    """The message parse_partition gives for text that the grammar
+    rejects, naming its first block that is no block, or None for text it
+    accepts."""
+    if not text:
+        return "empty partition text"
+    if PARTITION_TEXT.fullmatch(text) is None:
+        bad = next(c for c in text.split("/") if BLOCK_TEXT.fullmatch(c) is None)
+        return f"malformed block text: {bad!r}"
+    return None
 
 
 def refinement_rank_tally(n: int, partitions: Iterable[Blocks]) -> tuple[int, ...]:

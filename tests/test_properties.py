@@ -2,8 +2,10 @@ import contextlib
 import io
 import os
 import random
+from itertools import accumulate
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -93,11 +95,91 @@ def bit_rows(draw):
 @example((1 << 5000) - 1)
 @given(bit_rows())
 def test_iter_bits_lists_the_set_bits_by_the_route_its_count_picks(row):
-    scan = mock.Mock(wraps=poset_module._ONE)
-    with mock.patch.object(poset_module, "_ONE", scan):
+    # the scan of the binary digits starts from bin(row), which the module
+    # looks up as a global before the builtin
+    with mock.patch.object(poset_module, "bin", wraps=bin, create=True) as scan:
         assert list(iter_bits(row)) == list(support.iter_bits(row))
     # rows of fewer than _FEW_BITS set bits go bit by bit, without the scan
-    assert scan.finditer.called == (row.bit_count() >= _FEW_BITS)
+    assert scan.called == (row.bit_count() >= _FEW_BITS)
+
+
+#: Numbers of element text, then near misses: leading zeros, an empty
+#: number, a sign, a space, an underscore, and digits that str.isdigit
+#: takes but ASCII does not hold.
+NUMBERS = ["0", "1", "2", "7", "10", "12"]
+NEAR_NUMBERS = ["01", "00", "", "+1", " 1", "1_0", "\u0663", "\u00b2"]
+#: Stray pieces: separators, braces and blocks out of place.
+TEXT_PIECES = [*NUMBERS, *NEAR_NUMBERS, ",", "{", "}", "/", "}/{", "{}", "{,1}", "-"]
+
+
+@st.composite
+def element_texts(draw):
+    """Numbers joined by commas, as bare text or as blocks joined by "/",
+    with at most one number a near miss and at most one stray piece at
+    either end; or TEXT_PIECES run together; or their characters."""
+    shape = draw(st.sampled_from(["numbers", "blocks", "pieces", "characters"]))
+    if shape == "pieces":
+        return "".join(draw(st.lists(st.sampled_from(TEXT_PIECES), max_size=8)))
+    if shape == "characters":
+        return draw(st.text(alphabet="".join(TEXT_PIECES), max_size=12))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=1 if shape == "numbers" else 4))
+    numbers = draw(st.lists(st.sampled_from(NUMBERS), min_size=sum(sizes), max_size=sum(sizes)))
+    if draw(st.booleans()):
+        numbers[draw(st.integers(0, len(numbers) - 1))] = draw(st.sampled_from(NEAR_NUMBERS))
+    cuts = list(accumulate(sizes, initial=0))
+    lists = [",".join(numbers[a:b]) for a, b in zip(cuts, cuts[1:])]
+    text = lists[0] if shape == "numbers" else "/".join("{" + each + "}" for each in lists)
+    stray = st.sampled_from(["", "", "", *TEXT_PIECES])
+    return draw(stray) + text + draw(stray)
+
+
+def parse_error(parse, text):
+    """The message of the ValueError that parse raises on text, or None."""
+    try:
+        parse(text)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize(
+    "parse, oracle",
+    [
+        (parse_permutation, support.permutation_text_error),
+        (parse_partition, support.partition_text_error),
+    ],
+    ids=["permutation", "partition"],
+)
+@settings(derandomize=True, database=None, max_examples=1500)
+@example(text="0")
+@example(text="0,1")
+@example(text="01,2")
+@example(text="1,02")
+@example(text="0123")
+@example(text=",1")
+@example(text="1,,2")
+@example(text="\u0663")
+@example(text="1,\u00b2")
+@example(text="{0}")
+@example(text="{01}")
+@example(text="{1}/{02}")
+@example(text="{}")
+@example(text="{,1}")
+@example(text="}/{1}")
+@example(text="{1}/{")
+@example(text="{1}/")
+@example(text="{1}//{2}")
+@example(text="{1}{2}")
+@example(text="{\u0663}")
+@given(text=element_texts())
+def test_element_text_is_checked_as_the_grammar_says(parse, oracle, text):
+    # the parser rejects exactly what the grammar rejects, with its message
+    expected = oracle(text)
+    message = parse_error(parse, text)
+    if expected is None:
+        assert message is None or not message.startswith(("malformed", "empty"))
+    else:
+        assert message == expected
 
 
 @given(masked_sizes())

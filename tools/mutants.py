@@ -229,6 +229,20 @@ MUTANTS = (
         "reverse_complement_masks only reverses",
     ),
     Mutant(
+        "decimal-leading-zero",
+        "permutations.py",
+        'at = marked.find(",0")',
+        "at = -1",
+        "an element text with a leading zero, such as 1,02 or {01}, is read as its value",
+    ),
+    Mutant(
+        "decimal-ascii",
+        "permutations.py",
+        'if not (text.isascii() and "".join(numbers).isdigit() and all(numbers)):',
+        'if not ("".join(numbers).isdigit() and all(numbers)):',
+        "a non-ASCII digit such as \\u0663 passes as a number of an element text",
+    ),
+    Mutant(
         "iter-bits-index",
         "poset.py",
         "bits.append(low.bit_length() - 1)",
