@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .partitions import SetPartition
+from .partitions import SetPartition, _trusted
 from .permutations import check_permutation
 
 
@@ -24,8 +24,8 @@ def ncp_to_perm(partition: SetPartition) -> tuple[int, ...]:
 
     Unrolled, the recursion hands out the values n, n-1, ..., 1 block by
     block in order of minima, each block largest element first.  ``ends``
-    holds the gap ends of open blocks, innermost on top; a block crosses
-    when it reaches past the gap its minimum lies in.
+    holds the element that closes each open gap, innermost on top; a block
+    crosses when it reaches past the gap its minimum lies in.
 
     >>> from .partitions import parse_partition
     >>> ncp_to_perm(parse_partition("{1,4,6}/{2,3}/{5}/{7,8}"))
@@ -51,42 +51,45 @@ def ncp_to_perm(partition: SetPartition) -> tuple[int, ...]:
         for x in reversed(block):
             image[x - 1] = value
             value -= 1
-        ends += [x - 1 for x in block[:0:-1]]
+        ends += block[:0:-1]
     return tuple(image)
 
 
 def perm_to_ncp(perm: Sequence[int]) -> SetPartition:
     """Map a 132-avoiding permutation back to its noncrossing partition.
 
-    Position j joins the block of the largest smaller value to its left,
-    or opens a block at a left-to-right minimum.  A decreasing stack holds
-    each value with its block and prefix minimum; once the values below x
-    are popped, a prefix minimum below x on top completes a 132.
+    In a 132-avoider each value x that is not a left-to-right minimum has
+    x - 1 to its left (else an earlier smaller value, x, x - 1 form a 132).
+    So position j joins the block holding x - 1 once that value is placed,
+    closing the blocks opened after it, and opens a block otherwise.  A 132
+    shows as an opener above the running minimum, or a join to a closed block.
 
     >>> str(perm_to_ncp((6, 4, 5, 7, 3, 8, 1, 2)))
     '{1,4,6}/{2,3}/{5}/{7,8}'
     """
     entries = check_permutation(perm)
     blocks: list[list[int]] = []
-    stack: list[tuple[int, list[int], int]] = []
-    smallest = len(entries)
+    opened: list[int] = []  # indices of the open blocks, increasing
+    block_of = [-1] * (len(entries) + 1)  # block_of[x]: index of x's block
+    smallest = len(block_of)  # above every entry
     for j, x in enumerate(entries, start=1):
-        block = None
-        while stack and stack[-1][0] < x:
-            block = stack.pop()[1]
-        if stack and stack[-1][2] < x:
-            raise ValueError(f"permutation {entries} contains a 132 pattern")
-        if block is None:
-            block = [j]
-            blocks.append(block)
-        else:
-            block.append(j)
-        if x < smallest:
+        b = block_of[x - 1]
+        if b < 0:
+            if x > smallest:
+                raise ValueError(f"permutation {entries} contains a 132 pattern")
             smallest = x
-        stack.append((x, block, smallest))
-    # blocks open in order of their minima and take positions in increasing
-    # order, so they are canonical as built
-    return SetPartition._trusted(len(entries), tuple(map(tuple, blocks)))
+            b = len(blocks)
+            blocks.append([j])
+            opened.append(b)
+        else:
+            while opened[-1] > b:
+                opened.pop()
+            if opened[-1] != b:
+                raise ValueError(f"permutation {entries} contains a 132 pattern")
+            blocks[b].append(j)
+        block_of[x] = b
+    # canonical as built: blocks open in order of minima and grow upward
+    return _trusted((len(entries), tuple(map(tuple, blocks))))
 
 
 def image_descent_mask(partition: SetPartition) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
+from itertools import repeat
 
 from .errors import check_capacity
 from .permutations import _decimal_list
@@ -61,15 +62,6 @@ class SetPartition(namedtuple("SetPartition", "n blocks")):
         return tuple.__new__(cls, (n, blocks))
 
     @classmethod
-    def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> SetPartition:
-        """Wrap blocks already in canonical form, skipping validation.
-
-        Only for producers that build canonical blocks by construction:
-        enumerate_ncp and bijection.perm_to_ncp.
-        """
-        return tuple.__new__(cls, (n, blocks))
-
-    @classmethod
     def _make(cls, fields: Iterable) -> SetPartition:
         # namedtuple's _make and _replace build through here: validated
         return cls(*fields)
@@ -83,6 +75,11 @@ class SetPartition(namedtuple("SetPartition", "n blocks")):
 
     def __str__(self) -> str:
         return format_partition(self)
+
+
+#: Wrap an (n, blocks) pair in canonical form, in C and unvalidated: only for
+#: the producers that build canonical form, enumerate_ncp and perm_to_ncp.
+_trusted = partial(tuple.__new__, SetPartition)
 
 
 def enumerate_ncp(n: int) -> Iterator[SetPartition]:
@@ -100,7 +97,7 @@ def enumerate_ncp(n: int) -> Iterator[SetPartition]:
     """
     check_capacity("enumeration", n)
     atoms = [(x,) for x in range(n + 1)]
-    return map(partial(SetPartition._trusted, n), _stream_ncp(n, atoms, atoms))
+    return map(_trusted, zip(repeat(n), _stream_ncp(n, atoms, atoms)))
 
 
 def _ncp_text(n: int) -> Iterator[str]:

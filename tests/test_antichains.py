@@ -274,12 +274,14 @@ def test_layered_certificate_matches_per_vertex_oracle(monkeypatch):
         assert checked[0] == poset.size and checked[1] == poset.size
 
 
-def test_profile_at_eight_is_the_conjugate_of_the_rank_sizes():
-    # the Greene-Kleitman partition of a strongly Sperner poset
-    for poset in both_posets(8):
-        sizes = poset.rank_sizes()
-        conjugate = tuple(sum(1 for s in sizes if s > k) for k in range(max(sizes)))
-        assert chain_cover_profile(poset) == conjugate
+def test_profile_is_the_conjugate_of_the_rank_sizes_through_eight():
+    # the Greene-Kleitman partition of a strongly Sperner poset, checked
+    # element by element on P and Q at every n through 8
+    for n in range(1, 9):
+        for poset in both_posets(n):
+            sizes = poset.rank_sizes()
+            conjugate = tuple(sum(1 for s in sizes if s > k) for k in range(max(sizes)))
+            assert chain_cover_profile(poset) == conjugate, (poset.family, n)
 
 
 def test_profile_ignores_ranks_that_do_not_grade_the_order():

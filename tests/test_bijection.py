@@ -88,6 +88,9 @@ def test_rejects_non_avoiding_permutation():
         perm_to_ncp((1, 3, 2))
     with pytest.raises(ValueError):
         perm_to_ncp((2, 5, 3, 1, 4))
+    # 2 joins the block of 1, closed when 4 joined the block of 3
+    with pytest.raises(ValueError, match=r"^permutation \(3, 1, 4, 2\) contains a 132 pattern$"):
+        perm_to_ncp((3, 1, 4, 2))
 
 
 def test_rejects_invalid_permutation():
@@ -95,10 +98,22 @@ def test_rejects_invalid_permutation():
         perm_to_ncp((1, 2, 2))
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+def test_each_value_above_the_running_minimum_has_its_predecessor_before_it():
+    # the rule perm_to_ncp rests on: in a 132-avoider each value x that is
+    # not a left-to-right minimum has x - 1 to its left
+    for n in range(1, 11):
+        for p in enumerate_av132(n):
+            minima = {p[j - 1] for j in support.left_to_right_minima_positions(p)}
+            placed = set()
+            for x in p:
+                assert x in minima or x - 1 in placed, p
+                placed.add(x)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_forward_on_every_set_partition(n):
     # crossing partitions are rejected with the exact text, and every
-    # other one maps as the paper's recursion does
+    # other one maps as the paper's recursion does, and back to itself
     for blocks in support.brute_set_partitions(n):
         q = SetPartition(n, blocks)
         if support.brute_has_crossing(blocks):
@@ -106,15 +121,19 @@ def test_forward_on_every_set_partition(n):
                 ncp_to_perm(q)
             assert str(caught.value) == f"partition {q} is not noncrossing"
         else:
-            assert ncp_to_perm(q) == support.recursive_f(blocks, n)
+            image = ncp_to_perm(q)
+            assert type(image) is tuple and image == support.recursive_f(blocks, n)
+            back = perm_to_ncp(image)
+            assert type(back) is SetPartition and back == q
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_backward_on_every_permutation(n):
     avoiders = set(support.brute_av132(n))
     for p in permutations(range(1, n + 1)):
         if p in avoiders:
-            assert perm_to_ncp(p).blocks == support.recursive_finv(p)
+            q = perm_to_ncp(p)
+            assert type(q) is SetPartition and q.blocks == support.recursive_finv(p)
         else:
             with pytest.raises(ValueError) as caught:
                 perm_to_ncp(p)

@@ -281,21 +281,29 @@ def test_json_ends_with_newline():
     assert poset_to_json(build_descent_poset(2)).endswith("\n")
 
 
-@pytest.mark.parametrize("n", range(1, CAPACITY["poset construction"] + 1))
-def test_cover_and_comparable_counts_are_the_closed_forms(n):
-    # Q has C(2n, n-2) covers; P's order is strict containment of descent
-    # sets, so its covers and comparable pairs are sums of census products
-    q_covers = sum(row.bit_count() for row in build_refinement_poset(n).cover_rows)
-    assert q_covers == (math.comb(2 * n, n - 2) if n >= 2 else 0)
+def closed_form_covers(family, n):
+    """Q has C(2n, n-2) covers; P's order is strict containment of descent
+    sets, so its covers are a sum of census products over S and S + {b}."""
+    if family == "Q":
+        return math.comb(2 * n, n - 2) if n >= 2 else 0
     census = build_census(n)
-    full = (1 << (n - 1)) - 1
-    p = build_descent_poset(n)
-    assert sum(row.bit_count() for row in p.cover_rows) == sum(
+    return sum(
         census[s] * census[s | 1 << b]
-        for s in range(full + 1)
+        for s in range(1 << (n - 1))
         for b in range(n - 1)
         if not s >> b & 1
     )
+
+
+@pytest.mark.parametrize("n", range(1, CAPACITY["poset construction"] + 1))
+def test_cover_and_comparable_counts_are_the_closed_forms(n):
+    # P's comparable pairs are a sum of census products too
+    q_covers = sum(row.bit_count() for row in build_refinement_poset(n).cover_rows)
+    assert q_covers == closed_form_covers("Q", n)
+    census = build_census(n)
+    full = (1 << (n - 1)) - 1
+    p = build_descent_poset(n)
+    assert sum(row.bit_count() for row in p.cover_rows) == closed_form_covers("P", n)
     # every T properly above S is S plus a nonempty subset of its complement
     above = 0
     for s in range(full + 1):
@@ -309,14 +317,19 @@ def test_cover_and_comparable_counts_are_the_closed_forms(n):
 @pytest.mark.parametrize("n", range(1, CAPACITY["poset construction"] + 1))
 @pytest.mark.parametrize("family", ["P", "Q"])
 def test_export_matches_reference_writers(tmp_path, capsys, family, n):
-    # n = 1 has no covers, so its JSON carries "covers": []
+    # n = 1 has no covers, so its JSON carries "covers": []; the cover count
+    # is pinned to its closed form, which a wrong census would miss
     poset = (build_descent_poset if family == "P" else build_refinement_poset)(n)
     expected = {
         "json": support.reference_poset_json(poset),
         "dot": support.reference_poset_dot(poset),
     }
-    assert poset_to_json(poset) == expected["json"]
-    assert poset_to_dot(poset) == expected["dot"]
+    json_text, dot_text = poset_to_json(poset), poset_to_dot(poset)
+    assert json_text == expected["json"]
+    assert dot_text == expected["dot"]
+    covers = closed_form_covers(family, n)
+    assert len(json.loads(json_text)["covers"]) == covers
+    assert dot_text.count('" -> "') == covers
     for fmt, text in expected.items():
         argv = ["poset", family, "--n", str(n), "--format", fmt]
         assert main(argv) == 0

@@ -6,7 +6,7 @@ field changed through _replace."""
 import pytest
 
 from catalan_posets.antichains import chain_cover_profile
-from catalan_posets.partitions import SetPartition, parse_partition
+from catalan_posets.partitions import SetPartition, _trusted, parse_partition
 from catalan_posets.poset import GradedPoset, build_descent_poset
 from catalan_posets.verify import VerificationReport
 
@@ -86,7 +86,7 @@ def test_partition_validates_by_keyword_and_on_replace_but_not_when_trusted():
         q._replace(n=3)
     assert q._replace(blocks=((1,), (2,))) == SetPartition(2, ((1,), (2,)))
     # the producers' constructor takes canonical form on trust
-    assert SetPartition._trusted(3, ((1, 2),)).blocks == ((1, 2),)
+    assert _trusted((3, ((1, 2),))).blocks == ((1, 2),)
 
 
 def test_an_equal_poset_built_apart_hits_the_profile_cache():

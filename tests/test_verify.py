@@ -112,6 +112,19 @@ def test_sperner_transfer_examines_every_pair_of_a_largest_rank_through_its_cap(
         assert (report.n, report.examined, report.passed) == (n, width * (width - 1) // 2, True)
 
 
+def test_sperner_width_and_dk_examine_their_closed_forms_through_their_caps():
+    # sperner-width examines every element of P, C_n of them, and
+    # sperner-dk one k-antichain union for each k = 1..n, at its sub-cap
+    # once n is past it
+    for n in range(1, CAPACITY[CHECKS["sperner"][0]] + 1):
+        width, dk, _ = run_checks(("sperner",), n)
+        assert (width.name, width.n, width.examined, width.passed) == (
+            "sperner-width", n, catalan(n), True,
+        )
+        m = min(n, CAPACITY["sperner-dk"])
+        assert (dk.name, dk.n, dk.examined, dk.passed) == ("sperner-dk", m, m, True)
+
+
 def test_sperner_suite_structure():
     reports = run_checks(("sperner",), 8)
     assert [r.name for r in reports] == [

@@ -97,9 +97,16 @@ MUTANTS = (
     Mutant(
         "pattern-check",
         "bijection.py",
-        "if stack and stack[-1][2] < x:",
+        "if x > smallest:",
         "if False:",
-        "f inverse maps a permutation that contains 132",
+        "f inverse opens a block above the running minimum, past a 132",
+    ),
+    Mutant(
+        "closed-block-check",
+        "bijection.py",
+        "if opened[-1] != b:",
+        "if False:",
+        "f inverse joins a block already closed, past a 132",
     ),
     Mutant(
         "image-mask-shift",
