@@ -8,8 +8,6 @@ or capacity error, unwritable output or a failed check, 2 usage error.
 Each error is one `error:` line on stderr of under 200 UTF-8 bytes with its
 newline: argparse's through _Parser.error, the others through main, both
 by _error_line, which cuts a longer line to end in `... (N characters)`.
-The help formatter is sized here by argparse's own rule: left to argparse,
-reading the terminal width imports a file-utilities module and zlib, bz2, lzma.
 One table, _COMMANDS, holds each command's arguments, help and handler.  A
 plain argv (a command, then exact flags each with a value and positionals,
 none starting with '-' but a lone '-', all valid) is read from it by
@@ -17,14 +15,13 @@ _plain_args, without building the parser; any other argv (help, --n=5, cut
 flags, --, negative numbers, errors) goes to the parser that build_parser
 makes from it.  So argparse is imported only to write help, usage or an
 error: by build_parser, and by a converter that rejects its value.  os is
-imported only to size the help and to silence a closed stdout.
+imported only to silence a closed stdout.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Sequence
-from functools import partial
 from itertools import islice
 from types import SimpleNamespace
 
@@ -103,23 +100,6 @@ def _nonnegative_int(text: str) -> int:
     raise ArgumentTypeError(f"expected a non-negative integer, got {text}")
 
 
-def _help_width() -> int:
-    """COLUMNS if a positive integer, else the width of the terminal on stdout,
-    else 80; less 2, as argparse takes it."""
-    import os
-
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return (columns or 80) - 2
-
-
 def build_parser():
     """The argparse parser of the command line, made from _COMMANDS."""
     import argparse
@@ -133,19 +113,16 @@ def build_parser():
             self.print_usage(sys.stderr)
             self.exit(2, _error_line(f"{self.prog}: error: ", message) + "\n")
 
-    # subparsers do not inherit formatter_class
-    formatter = partial(argparse.HelpFormatter, width=_help_width())
     parser = _Parser(
         prog="catalan-posets",
         description=(
             "Noncrossing partitions, 132-avoiding permutations, the bijection "
             "between them, and the graded posets built on both families."
         ),
-        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, positionals, options, defaults, _) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_line, formatter_class=formatter)
+        command = sub.add_parser(name, help=help_line)
         for dest, choices, help_text in positionals:
             command.add_argument(dest, choices=choices, help=help_text)
         for flag, (dest, convert, choices, help_text) in options.items():

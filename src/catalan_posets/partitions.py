@@ -23,8 +23,8 @@ _Block = tuple[int, ...] | str
 class SetPartition(namedtuple("SetPartition", "n blocks")):
     """A partition of {1, ..., n} stored in canonical form.
 
-    The constructor insists on canonical form; use from_blocks to build one
-    from blocks in any order.
+    The constructor insists on canonical form, a tuple of tuples of int; use
+    from_blocks to build one from blocks in any order.
 
     >>> q = SetPartition.from_blocks([(2, 3), (1, 4, 6), (7, 8), (5,)])
     >>> q.blocks
@@ -38,9 +38,14 @@ class SetPartition(namedtuple("SetPartition", "n blocks")):
     def __new__(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> SetPartition:
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
+        # exactly tuples, so that equal partitions compare and hash as equal
+        if type(blocks) is not tuple:
+            raise ValueError(f"blocks must be a tuple, got {type(blocks).__name__}")
         seen = bytearray(n)
         previous_min = 0
         for block in blocks:
+            if type(block) is not tuple:
+                raise ValueError(f"block {block!r} is not a tuple")
             if not block:
                 raise ValueError("empty block")
             # an equal minimum is a repeated element, named by the loop below
@@ -49,7 +54,7 @@ class SetPartition(namedtuple("SetPartition", "n blocks")):
             previous_min = block[0]
             last = 0
             for x in block:
-                if not isinstance(x, int) or not 1 <= x <= n:
+                if type(x) is not int or not 1 <= x <= n:  # no bool, as in check_permutation
                     raise ValueError(f"element {x!r} outside 1..{n}")
                 if x <= last:
                     raise ValueError(f"block {block} is not strictly increasing")

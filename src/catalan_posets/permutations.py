@@ -29,7 +29,8 @@ def check_permutation(entries: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("permutation must have at least one entry")
     seen = bytearray(n + 1)
     for x in p:
-        if not isinstance(x, int) or not 1 <= x <= n:
+        # exactly int: a subclass, bool among them, formats as its own str
+        if type(x) is not int or not 1 <= x <= n:
             raise ValueError(f"entry {x!r} outside 1..{n}")
         if seen[x]:
             raise ValueError(f"duplicate entry {x}")

@@ -5,7 +5,7 @@ import pytest
 import support
 from catalan_posets.bijection import image_descent_mask, ncp_to_perm, perm_to_ncp
 from catalan_posets.partitions import SetPartition, enumerate_ncp, parse_partition
-from catalan_posets.permutations import descent_mask, enumerate_av132
+from catalan_posets.permutations import descent_mask, enumerate_av132, format_permutation
 
 
 def test_golden_pair_forward():
@@ -96,6 +96,16 @@ def test_rejects_non_avoiding_permutation():
 def test_rejects_invalid_permutation():
     with pytest.raises(ValueError):
         perm_to_ncp((1, 2, 2))
+
+
+def test_bool_is_rejected_before_formatting_or_mapping():
+    # True equals 1 but writes as True: format_permutation([True, 2]) gave
+    # 'True2', and a partition holding True printed as {True,2}/{3}
+    for call in (format_permutation, perm_to_ncp):
+        with pytest.raises(ValueError, match=r"^entry True outside 1\.\.2$"):
+            call([True, 2])
+    with pytest.raises(ValueError, match=r"^element True outside 1\.\.3$"):
+        ncp_to_perm(SetPartition.from_blocks([(True, 2), (3,)]))
 
 
 def test_each_value_above_the_running_minimum_has_its_predecessor_before_it():

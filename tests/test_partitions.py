@@ -61,6 +61,10 @@ def test_constructor_rejects_noncanonical_or_invalid():
         # a shared minimum is a repeated element, not an ordering fault
         (2, ((1,), (1, 2)), "element 1 appears in two blocks"),
         (3, ((2, 3), (1,)), "blocks must be ordered by strictly increasing minima"),
+        # True equals 1 but writes as True: str() gave '{True,2}/{3}'
+        (3, ((True, 2), (3,)), "element True outside 1..3"),
+        (3, [[1, 2], [3]], "blocks must be a tuple, got list"),
+        (3, ((1, 2), [3]), "block [3] is not a tuple"),
     ],
 )
 def test_constructor_error_texts(n, blocks, text):

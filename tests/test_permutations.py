@@ -38,7 +38,7 @@ def test_check_permutation_rejects_invalid():
     "entries, text",
     [
         ((2, 2, 1), "duplicate entry 2"),
-        ((True, 1), "duplicate entry 1"),
+        ((True, 1), "entry True outside 1..2"),
         ((1, 2, 4), "entry 4 outside 1..3"),
         ((1.0, 2), "entry 1.0 outside 1..2"),
         (("1", "2"), "entry '1' outside 1..2"),

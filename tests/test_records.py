@@ -89,6 +89,17 @@ def test_partition_validates_by_keyword_and_on_replace_but_not_when_trusted():
     assert _trusted((3, ((1, 2),))).blocks == ((1, 2),)
 
 
+def test_partition_takes_only_a_tuple_of_tuples():
+    # list blocks passed validation once, then compared unequal to the
+    # parsed twin, could not be hashed, and broke refinement_rows
+    q = parse_partition("{1,2}/{3}")
+    for blocks in ([[1, 2], [3]], [(1, 2), (3,)], ([1, 2], (3,))):
+        with pytest.raises(ValueError):
+            SetPartition(3, blocks)
+        with pytest.raises(ValueError):
+            q._replace(blocks=blocks)
+
+
 def test_an_equal_poset_built_apart_hits_the_profile_cache():
     p4 = build_descent_poset(4)
     twin = GradedPoset(*p4)

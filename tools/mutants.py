@@ -207,6 +207,27 @@ MUTANTS = (
         "blocks out of order of their minima are accepted",
     ),
     Mutant(
+        "element-bool",
+        "partitions.py",
+        "if type(x) is not int or not 1 <= x <= n:  # no bool",
+        "if not isinstance(x, int) or not 1 <= x <= n:  # no bool",
+        "a partition takes True as the element 1 and writes it as True",
+    ),
+    Mutant(
+        "blocks-tuple",
+        "partitions.py",
+        "if type(blocks) is not tuple:",
+        "if False:",
+        "a partition keeps a list of blocks, unhashable and unequal to its twin",
+    ),
+    Mutant(
+        "block-tuple",
+        "partitions.py",
+        "if type(block) is not tuple:",
+        "if False:",
+        "a partition keeps a list block, unhashable and unequal to its twin",
+    ),
+    Mutant(
         "descent-direction",
         "permutations.py",
         "if entries[i] > entries[i + 1]:",
@@ -227,6 +248,13 @@ MUTANTS = (
         "if seen[x]:",
         "if False:",
         "a permutation with a repeated entry is accepted",
+    ),
+    Mutant(
+        "entry-bool",
+        "permutations.py",
+        "if type(x) is not int or not 1 <= x <= n:",
+        "if not isinstance(x, int) or not 1 <= x <= n:",
+        "a permutation takes True as the entry 1 and formats it as True",
     ),
     Mutant(
         "reverse-complement-no-complement",
@@ -278,6 +306,14 @@ MUTANTS = (
         "P's cover rows look for covers at the class's own rank, where there are none",
     ),
     Mutant(
+        "refinement-cover-dropped",
+        "poset.py",
+        "covers = tuple(row & layers[r + 1] for row, r in zip(leq_rows, ranks))",
+        "covers = tuple(row & layers[r + 1] for row, r in zip(leq_rows, ranks))\n"
+        "    covers = (*covers[:-1], covers[-1] & covers[-1] - 1)",
+        "Q's finest partition loses its lowest cover, so Q has one cover too few",
+    ),
+    Mutant(
         "iter-bits-route",
         "poset.py",
         "_FEW_BITS = 16",
@@ -304,6 +340,13 @@ MUTANTS = (
         "if bad != 1 << i and",
         "if False and",
         "coarsening reports no pair",
+    ),
+    Mutant(
+        "coarsening-last-row",
+        "verify.py",
+        "enumerate(zip(q_poset.leq_rows, fmask))",
+        "enumerate(zip(q_poset.leq_rows[:-1], fmask))",
+        "coarsening skips the finest partition's row, every pair above it",
     ),
     Mutant(
         "selfdual-detail-guard",
