@@ -349,7 +349,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if sys.stdout is not None:
             sys.stdout.flush()
         return code
-    except (CapacityError, ValueError, OSError) as error:
+    except (CapacityError, ValueError, OSError, RuntimeError) as error:
         if isinstance(error, BrokenPipeError):
             # the reader closed stdout: send what is still buffered to devnull,
             # so that the interpreter's own flush at exit does not fail again

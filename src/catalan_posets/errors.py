@@ -30,7 +30,8 @@ CAPACITY = {
 
 def check_capacity(operation: str, n: int, structure: str = "") -> None:
     """Raise CapacityError unless 1 <= n <= CAPACITY[structure], the cap of
-    what operation reads, or CAPACITY[operation] without a structure.
+    what operation reads, or CAPACITY[operation] without a structure; an n
+    that is not an int raises ValueError.
 
     >>> check_capacity("enumeration", 12)
     >>> check_capacity("poset construction", 0)
@@ -42,6 +43,8 @@ def check_capacity(operation: str, n: int, structure: str = "") -> None:
     ...
     catalan_posets.errors.CapacityError: check selfdual supports n up to 9, got 10
     """
+    if type(n) is not int:  # no bool or float, as in check_permutation
+        raise ValueError(f"n must be an int, got {type(n).__name__}")
     if n < 1:
         raise CapacityError(f"n must be at least 1, got {n}")
     cap = CAPACITY[structure or operation]

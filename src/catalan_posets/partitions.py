@@ -36,6 +36,8 @@ class SetPartition(namedtuple("SetPartition", "n blocks")):
     __slots__ = ()
 
     def __new__(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> SetPartition:
+        if type(n) is not int:
+            raise ValueError(f"n must be an int, got {type(n).__name__}")
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
         # exactly tuples, so that equal partitions compare and hash as equal

@@ -73,13 +73,18 @@ def properly_inside(masks: Sequence[int], width: int) -> list[int]:
     fiber = [0] * (1 << width)
     for j, mask in enumerate(masks):
         fiber[mask] |= 1 << j
-    inside = list(fiber)
+    inside = _subset_sums(list(fiber), width)
+    return [whole ^ own for whole, own in zip(inside, fiber)]
+
+
+def _subset_sums(table: list[int], width: int) -> list[int]:
+    """OR each entry at a subset of s into entry s of a 2**width table."""
     for b in range(width):
         bit = 1 << b
-        for s in range(len(inside)):
+        for s in range(len(table)):
             if s & bit:
-                inside[s] |= inside[s ^ bit]
-    return [whole ^ own for whole, own in zip(inside, fiber)]
+                table[s] |= table[s ^ bit]
+    return table
 
 
 class GradedPoset(
@@ -162,20 +167,19 @@ def build_descent_poset(n: int) -> GradedPoset:
 
 def refinement_rows(n: int, partitions: Sequence[SetPartition]) -> list[int]:
     """Entry k is the bitset of the indices j with partitions[k] refining
-    partitions[j], for any list of partitions of [n]: b holds every block
-    of a exactly when it holds every two consecutive members of each block
-    of a in one block.  Each distinct block of two or more members gets a
-    holder row, the indices of the partitions that have it, packed into a
-    bytearray; each pair x < y gets the OR of the holder rows of the
-    blocks holding both.  The AND of a block's consecutive pair rows is
-    taken once per call, and each entry is the AND of those of its blocks
-    (an entry with no such block is every index).
+    partitions[j], for partitions of [n], n within the poset cap.  Each
+    distinct block of two or more members files a holder row, a bytearray
+    of the indices of the partitions that have it, in a 2**n table at
+    ~mask: as a list index, the complement of the block's mask.  Subset
+    sums then put there every index with a block containing it, and a
+    row is the AND of its blocks' entries (every index, if it has none).
 
     >>> from .partitions import parse_partition
     >>> texts = ("{1,3}/{2}", "{1,2,3}", "{1}/{2}/{3}")
     >>> refinement_rows(3, [parse_partition(text) for text in texts])
     [3, 2, 7]
     """
+    check_capacity("poset construction", n)
     size = len(partitions)
     holders: dict[tuple[int, ...], bytearray] = {}
     for j, q in enumerate(partitions):
@@ -186,26 +190,18 @@ def refinement_rows(n: int, partitions: Sequence[SetPartition]) -> list[int]:
                 if row is None:
                     row = holders[block] = bytearray((size + 7) >> 3)
                 row[byte] |= bit
-    together = [[0] * y for y in range(n + 1)]
-    for block, row in holders.items():
-        held = int.from_bytes(row, "little")
-        for t in range(1, len(block)):
-            pair = together[block[t]]
-            for x in block[:t]:
-                pair[x] |= held
+    table = [0] * (1 << n)
+    spots = {block: ~sum(1 << (x - 1) for x in block) for block in holders}
+    for block, spot in spots.items():
+        table[spot] = int.from_bytes(holders[block], "little")
+    _subset_sums(table, n)
     every = (1 << size) - 1
-    whole = {}
-    for block in holders:
-        row = every
-        for x, y in zip(block, block[1:]):
-            row &= together[y][x]
-        whole[block] = row
     rows = []
     for q in partitions:
         row = every
         for block in q.blocks:
             if len(block) > 1:
-                row &= whole[block]
+                row &= table[spots[block]]
         rows.append(row)
     return rows
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catalan_posets import cli
+from catalan_posets import antichains, cli
 from catalan_posets.cli import build_parser, main
 from catalan_posets.errors import CAPACITY
 from catalan_posets.verify import CHECKS, VerificationReport
@@ -88,7 +88,8 @@ def test_enumerate_over_capacity_creates_no_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     for kind in ("av132", "ncp"):
         code, out, err = run_cli(
-            capsys, "enumerate", kind, "--n", "13", "--output", str(target)
+            capsys, "enumerate", kind, "--n", str(CAPACITY["enumeration"] + 1),
+            "--output", str(target),
         )
         assert code == 1
         assert out == ""
@@ -98,8 +99,9 @@ def test_enumerate_over_capacity_creates_no_file(tmp_path, capsys):
 
 def test_poset_over_capacity_creates_no_file(tmp_path, capsys):
     target = tmp_path / "out.json"
+    over = str(CAPACITY["poset construction"] + 1)
     code, out, err = run_cli(
-        capsys, "poset", "P", "--n", "10", "--format", "json", "--output", str(target)
+        capsys, "poset", "P", "--n", over, "--format", "json", "--output", str(target)
     )
     assert code == 1
     assert out == ""
@@ -519,7 +521,8 @@ def test_poset_json_to_file(tmp_path, capsys):
 
 
 def test_poset_over_capacity(capsys):
-    code, _, err = run_cli(capsys, "poset", "P", "--n", "10", "--format", "dot")
+    over = str(CAPACITY["poset construction"] + 1)
+    code, _, err = run_cli(capsys, "poset", "P", "--n", over, "--format", "dot")
     assert code == 1
     assert "error:" in err
 
@@ -609,6 +612,23 @@ def test_failed_check_exits_1_and_prints_its_violations(capsys, monkeypatch):
         "  violation: rows differ\n"
     )
     assert re.fullmatch(r"lemma n=5: \d+\.\d{3}s\nranks n=5: \d+\.\d{3}s\n", err)
+
+
+def test_failed_certificate_is_one_error_line(capsys, monkeypatch):
+    # a matching that loses one pair no longer certifies its antichain:
+    # antichains raises RuntimeError, which ends verify in one error line
+    real = antichains.hopcroft_karp
+
+    def drop_one_pair(*args):
+        match_left, *rest = real(*args)
+        u = next(u for u, v in enumerate(match_left) if v != -1)
+        match_left[u] = -1
+        return (match_left, *rest)
+
+    monkeypatch.setattr(antichains, "hopcroft_karp", drop_one_pair)
+    code, out, err = run_cli(capsys, "verify", "--checks", "sperner", "--n", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: antichain size disagrees with the matching bound\n"
 
 
 @pytest.mark.parametrize("checks", [",", " , ,"])
@@ -781,7 +801,7 @@ def test_closed_standard_stream_is_one_error_line(fd, argv):
     "argv, code, out",
     [
         (["verify", "--n", "3", "--checks", "lemma"], 0, "lemma n=3: examined=4 pass\n"),
-        (["census", "--n", "17"], 1, ""),
+        (["census", "--n", str(CAPACITY["census"] + 1)], 1, ""),
     ],
     ids=["verify", "census-error"],
 )

@@ -6,7 +6,7 @@ import pytest
 
 import support
 from catalan_posets.bijection import ncp_to_perm, perm_to_ncp
-from catalan_posets.errors import CAPACITY, CapacityError
+from catalan_posets.errors import CAPACITY, CapacityError, check_capacity
 from catalan_posets.partitions import (
     SetPartition,
     _ncp_text,
@@ -74,6 +74,17 @@ def test_constructor_error_texts(n, blocks, text):
     assert str(caught.value) == text
 
 
+@pytest.mark.parametrize("n", [True, 2.0, "2"])
+def test_constructor_takes_only_an_int_n(n):
+    # True kept n=True; 2.0 and "2" raised TypeErrors from bytearray and <
+    with pytest.raises(ValueError) as caught:
+        SetPartition(n, ((1,), (2,)))
+    assert str(caught.value) == f"n must be an int, got {type(n).__name__}"
+    with pytest.raises(ValueError) as caught:
+        SetPartition(0, ())
+    assert str(caught.value) == "n must be at least 1, got 0"
+
+
 def test_noncrossing_agrees_with_definition_exhaustively():
     # every set partition through size 8 (4140 of them at the top)
     for n in range(1, 9):
@@ -114,6 +125,18 @@ def test_enumerate_ncp_bounds():
         enumerate_ncp(0)
     with pytest.raises(CapacityError):
         enumerate_ncp(CAPACITY["enumeration"] + 1)
+
+
+@pytest.mark.parametrize("n", [True, 2.5, "2"])
+def test_capacity_takes_only_an_int_n(n):
+    # True passed as 1, so enumerate_ncp(True) yielded SetPartition(n=True, ...)
+    text = f"n must be an int, got {type(n).__name__}"
+    with pytest.raises(ValueError) as caught:
+        check_capacity("enumeration", n)
+    assert str(caught.value) == text
+    assert not isinstance(caught.value, CapacityError)
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        enumerate_ncp(n)
 
 
 def test_format_partition():

@@ -445,6 +445,9 @@ def test_capacity_bounds():
         build_refinement_poset(CAPACITY["poset construction"] + 1)
     with pytest.raises(CapacityError):
         build_descent_poset(0)
+    # its table has 2**n entries
+    with pytest.raises(CapacityError):
+        refinement_rows(CAPACITY["poset construction"] + 1, [])
 
 
 def test_descent_builder_rejects_a_table_without_every_descent_set(monkeypatch):

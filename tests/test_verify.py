@@ -112,6 +112,32 @@ def test_sperner_transfer_examines_every_pair_of_a_largest_rank_through_its_cap(
         assert (report.n, report.examined, report.passed) == (n, width * (width - 1) // 2, True)
 
 
+def test_sperner_transfer_walks_rows_only_while_its_report_keeps_details(monkeypatch):
+    # with every image comparable to every other, the first row alone
+    # fills the report; the walk stops there, not after every row's pairs
+    n = CAPACITY["sperner-transfer"]
+    sizes = []
+
+    def all_ones(_n, images):
+        sizes.append(len(images))
+        return [(1 << len(images)) - 1] * len(images)
+
+    calls = []
+
+    def counted(violations, message):
+        calls.append(message)
+        note_violation(violations, message)
+
+    monkeypatch.setattr(verify, "refinement_rows", all_ones)
+    monkeypatch.setattr(verify, "note_violation", counted)
+    report = check_sperner_transfer(n)
+    [size] = sizes
+    assert len(calls) == size - 1
+    assert report.violations == (*calls[:MAX_VIOLATION_DETAILS], "further violations omitted")
+    assert calls[0].startswith("images ") and calls[0].endswith(" are comparable")
+    assert report.examined == size * (size - 1) // 2
+
+
 def test_sperner_width_and_dk_examine_their_closed_forms_through_their_caps():
     # sperner-width examines every element of P, C_n of them, and
     # sperner-dk one k-antichain union for each k = 1..n, at its sub-cap

@@ -186,11 +186,25 @@ MUTANTS = (
         "the parser takes a command line that leaves out --n or --format",
     ),
     Mutant(
+        "runtime-error-caught",
+        "cli.py",
+        "OSError, RuntimeError) as error:",
+        "OSError) as error:",
+        "a failed antichain certificate ends verify in a traceback",
+    ),
+    Mutant(
         "capacity-off-by-one",
         "errors.py",
         "if n > cap:",
         "if n > cap + 1:",
         "every operation accepts one size above its cap",
+    ),
+    Mutant(
+        "capacity-int-n",
+        "errors.py",
+        "if type(n) is not int:",
+        "if False:",
+        "check_capacity takes True and 2.5 as sizes",
     ),
     Mutant(
         "cover-check",
@@ -205,6 +219,13 @@ MUTANTS = (
         "if block[0] < previous_min:",
         "if False:",
         "blocks out of order of their minima are accepted",
+    ),
+    Mutant(
+        "partition-int-n",
+        "partitions.py",
+        "if type(n) is not int:",
+        "if False:",
+        "SetPartition keeps n=True and fails on 2.0 with a TypeError",
     ),
     Mutant(
         "element-bool",
@@ -292,6 +313,27 @@ MUTANTS = (
         "properly_inside keeps each mask's own fiber",
     ),
     Mutant(
+        "subset-sums-short",
+        "poset.py",
+        "for b in range(width):",
+        "for b in range(width - 1):",
+        "subset sums skip the top bit, in both P's and Q's order rows",
+    ),
+    Mutant(
+        "block-own-mask",
+        "poset.py",
+        "spots = {block: ~sum(",
+        "spots = {block: sum(",
+        "a block is filed under its own mask, so it collects the blocks inside it",
+    ),
+    Mutant(
+        "refinement-cap",
+        "poset.py",
+        '    check_capacity("poset construction", n)\n    size = len(partitions)',
+        "    size = len(partitions)",
+        "refinement_rows builds a 2**n table at any n",
+    ),
+    Mutant(
         "holder-bit",
         "poset.py",
         "byte, bit = j >> 3, 1 << (j & 7)",
@@ -356,6 +398,13 @@ MUTANTS = (
         "selfdual formats every broken pair of every row, kept or not",
     ),
     Mutant(
+        "selfdual-own-bit",
+        "verify.py",
+        "^ inside[masks[image]] ^ (1 << i)",
+        "^ inside[masks[image]]",
+        "selfdual reports each element as breaking order reversal with itself",
+    ),
+    Mutant(
         "pairing-targets-reversed",
         "verify.py",
         "for source, target in zip(members, targets):",
@@ -417,6 +466,13 @@ MUTANTS = (
         "if width != largest_rank:",
         "if False:",
         "a width above the largest rank passes",
+    ),
+    Mutant(
+        "transfer-detail-guard",
+        "verify.py",
+        "if len(violations) > MAX_VIOLATION_DETAILS:",
+        "if False:",
+        "sperner-transfer walks every row's pairs after its report is full",
     ),
     Mutant(
         "run-checks-clamp",
