@@ -1,4 +1,4 @@
-"""Antichain extremes of a finite poset, read off its order rows.
+"""Antichain extremes of a finite poset, read off its above rows.
 
 Width comes from the matching side of Dilworth's theorem: a maximum
 matching on the split bipartite graph of strict comparabilities yields a
@@ -22,12 +22,6 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 from .poset import GradedPoset, iter_bits
-
-
-def _strict_rows(poset: GradedPoset) -> list[int]:
-    """Each order row less its own bit, which a GradedPoset's leq_rows
-    always hold, being reflexive: the rows of the strict order."""
-    return [row ^ (1 << i) for i, row in enumerate(poset.leq_rows)]
 
 
 def hopcroft_karp(
@@ -148,7 +142,7 @@ def _certified_antichain(
 
 def max_antichain_elements(poset: GradedPoset) -> tuple[int, ...]:
     """Indices of one maximum antichain, certified by _certified_antichain."""
-    return _certified_antichain(_strict_rows(poset))[0]
+    return _certified_antichain(poset.above_rows)[0]
 
 
 def max_antichain(poset: GradedPoset) -> int:
@@ -181,7 +175,6 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
     True
     """
     size = poset.size
-    strict = _strict_rows(poset)
     # bit block b of P x C_k holds a copy of P that lies below blocks
     # 0 .. b - 1; each k adds a block at the bottom, so the rows of the
     # blocks already built stay as they are, and so does their matching,
@@ -193,8 +186,8 @@ def chain_cover_profile(poset: GradedPoset) -> tuple[int, ...]:
     union = 0
     while union < size:
         offset = len(product)
-        product.extend(up | row << offset for up, row in zip(above, strict))
-        above = [up | row << offset for up, row in zip(above, poset.leq_rows)]
+        product.extend(up | row << offset for up, row in zip(above, poset.above_rows))
+        above = [row | 1 << x for x, row in enumerate(product[offset:], offset)]
         antichain, matching = _certified_antichain(product, matching + [-1] * size)
         width = len(antichain)
         gain = width - union

@@ -79,6 +79,10 @@ def count_by_descent_set(n: int, mask: int) -> int:
     >>> count_by_descent_set(4, 0b001)
     3
     """
+    if type(n) is not int or type(mask) is not int:  # no bool or float
+        raise ValueError(
+            f"n and descent mask must be ints, got {type(n).__name__} and {type(mask).__name__}"
+        )
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0 <= mask < 1 << (n - 1):

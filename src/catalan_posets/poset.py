@@ -9,7 +9,7 @@ inside a block of b.  Ranks are |descent set| and n - #blocks.
 Orders are stored as bitset rows over a fixed element ordering, which
 keeps reachability, cover and antichain computations in whole-row integer
 arithmetic.  Both orders are graded by their ranks, so the covers of x are
-the elements above x one rank higher: each cover row is an order row
+the elements above x one rank higher: each cover row is an above row
 masked by the next rank's members.
 """
 
@@ -88,13 +88,13 @@ def _subset_sums(table: list[int], width: int) -> list[int]:
 
 
 class GradedPoset(
-    namedtuple("GradedPoset", "family n elements ranks leq_rows cover_rows")
+    namedtuple("GradedPoset", "family n elements ranks above_rows cover_rows")
 ):
     """A finite graded poset over a fixed tuple of elements.
 
-    leq_rows[i] has bit j set when element i is below-or-equal element j,
-    so bit i always: the rows are reflexive by definition.  cover_rows[i]
-    has bit j set when j covers i.
+    above_rows[i] has bit j set when element j lies strictly above element
+    i, so never bit i: the rows are those of the strict order.
+    cover_rows[i] has bit j set when j covers i.
     """
 
     __slots__ = ()
@@ -155,29 +155,31 @@ def build_descent_poset(n: int) -> GradedPoset:
         raise RuntimeError(f"a descent set of [{n}] has no 132-avoiding permutation")
     full = (1 << (n - 1)) - 1
     # j lies strictly above i when the complement of j's mask is properly
-    # inside the complement of i's
+    # inside the complement of i's: one above row and one cover row per
+    # descent class, each shared by the class's members
     above = properly_inside([full ^ m for m in masks], n - 1)
-    leq_rows = tuple(above[full ^ m] | (1 << i) for i, m in enumerate(masks))
     ranks = tuple(m.bit_count() for m in masks)
-    # j covers i by their descent sets alone: one cover row per class
     layers = _layers(ranks)
     covers = [above[full ^ m] & layers[m.bit_count() + 1] for m in range(full + 1)]
-    return GradedPoset("P", n, elements, ranks, leq_rows, tuple(covers[m] for m in masks))
+    rows = tuple(above[full ^ m] for m in masks)
+    return GradedPoset("P", n, elements, ranks, rows, tuple(covers[m] for m in masks))
 
 
 def refinement_rows(n: int, partitions: Sequence[SetPartition]) -> list[int]:
-    """Entry k is the bitset of the indices j with partitions[k] refining
-    partitions[j], for partitions of [n], n within the poset cap.  Each
+    """Entry k is the bitset of the indices j other than k with
+    partitions[k] refining partitions[j], for partitions of [n], n within
+    the poset cap: over distinct partitions, the strict order.  Each
     distinct block of two or more members files a holder row, a bytearray
     of the indices of the partitions that have it, in a 2**n table at
     ~mask: as a list index, the complement of the block's mask.  Subset
     sums then put there every index with a block containing it, and a
-    row is the AND of its blocks' entries (every index, if it has none).
+    row is the AND of its blocks' entries (every index, if it has none),
+    less its own bit.
 
     >>> from .partitions import parse_partition
     >>> texts = ("{1,3}/{2}", "{1,2,3}", "{1}/{2}/{3}")
     >>> refinement_rows(3, [parse_partition(text) for text in texts])
-    [3, 2, 7]
+    [2, 0, 3]
     """
     check_capacity("poset construction", n)
     size = len(partitions)
@@ -197,8 +199,8 @@ def refinement_rows(n: int, partitions: Sequence[SetPartition]) -> list[int]:
     _subset_sums(table, n)
     every = (1 << size) - 1
     rows = []
-    for q in partitions:
-        row = every
+    for k, q in enumerate(partitions):
+        row = every ^ (1 << k)
         for block in q.blocks:
             if len(block) > 1:
                 row &= table[spots[block]]
@@ -209,7 +211,7 @@ def refinement_rows(n: int, partitions: Sequence[SetPartition]) -> list[int]:
 @lru_cache(maxsize=None)
 def build_refinement_poset(n: int) -> GradedPoset:
     """The refinement order on noncrossing partitions of [n], listed in
-    growth-string order; its order rows are refinement_rows over the
+    growth-string order; its above rows are refinement_rows over the
     whole family, and n - #blocks grades it.
 
     >>> build_refinement_poset(4).rank_sizes()
@@ -220,10 +222,10 @@ def build_refinement_poset(n: int) -> GradedPoset:
     check_capacity("poset construction", n)
     elements = tuple(enumerate_ncp(n))
     ranks = tuple(n - len(q.blocks) for q in elements)
-    leq_rows = tuple(refinement_rows(n, elements))
+    rows = tuple(refinement_rows(n, elements))
     layers = _layers(ranks)
-    covers = tuple(row & layers[r + 1] for row, r in zip(leq_rows, ranks))
-    return GradedPoset("Q", n, elements, ranks, leq_rows, covers)
+    covers = tuple(row & layers[r + 1] for row, r in zip(rows, ranks))
+    return GradedPoset("Q", n, elements, ranks, rows, covers)
 
 
 def _labels(poset: GradedPoset) -> list[str]:

@@ -249,12 +249,13 @@ def recursive_av132(n: int) -> tuple[tuple[int, ...], ...]:
 def reference_refinement_poset(
     n: int,
 ) -> tuple[tuple[Blocks, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(elements as blocks, ranks, leq_rows, cover_rows) of the refinement
+    """(elements as blocks, ranks, up rows, cover_rows) of the refinement
     order on NC(n) in growth-string order, by the package's former
     builder: each pair of blocks is merged into a sorted tuple, the
     partition is rebuilt with tuple slices, and a dictionary of block
     tuples says whether it is noncrossing; the upward closure walks each
-    cover row's bits."""
+    cover row's bits.  Up row i holds i and everything above it: the former
+    builder's reflexive rows."""
     elements = tuple(recursive_ncp(n))
     index = {blocks: i for i, blocks in enumerate(elements)}
     ranks = tuple(n - len(blocks) for blocks in elements)
@@ -279,9 +280,9 @@ def reference_refinement_poset(
     return elements, ranks, tuple(up), tuple(cover_rows)
 
 
-def leq(poset, i: int, j: int) -> bool:
-    """Whether element i is below or equal to element j."""
-    return poset.leq_rows[i] >> j & 1 == 1
+def below(poset, i: int, j: int) -> bool:
+    """Whether element i lies strictly below element j."""
+    return poset.above_rows[i] >> j & 1 == 1
 
 
 def cover_pairs(poset) -> list[tuple[int, int]]:
@@ -382,7 +383,7 @@ def strict_pairs(poset) -> list[tuple[int, int]]:
         (i, j)
         for i in range(poset.size)
         for j in range(poset.size)
-        if i != j and leq(poset, i, j)
+        if below(poset, i, j)
     ]
 
 
@@ -392,7 +393,7 @@ def comparable_mask_rows(poset) -> list[int]:
     for i in range(poset.size):
         mask = 0
         for j in range(poset.size):
-            if i != j and (leq(poset, i, j) or leq(poset, j, i)):
+            if below(poset, i, j) or below(poset, j, i):
                 mask |= 1 << j
         rows.append(mask)
     return rows
@@ -468,11 +469,11 @@ def brute_max_k_antichain_union(poset, k: int) -> int:
     """
     if poset.size > 16:
         raise ValueError("brute_max_k_antichain_union is for tiny posets only")
-    below = [0] * poset.size
+    lower = [0] * poset.size
     for i in range(poset.size):
         for j in range(poset.size):
-            if i != j and leq(poset, j, i):
-                below[i] |= 1 << j
+            if below(poset, j, i):
+                lower[i] |= 1 << j
     order = sorted(range(poset.size), key=poset.ranks.__getitem__)
     best = 0
     for subset in range(1 << poset.size):
@@ -485,7 +486,7 @@ def brute_max_k_antichain_union(poset, k: int) -> int:
             if not subset >> i & 1:
                 continue
             longest_below = 0
-            probe = below[i] & subset
+            probe = lower[i] & subset
             while probe:
                 low = probe & -probe
                 j = low.bit_length() - 1
@@ -501,12 +502,12 @@ def brute_max_k_antichain_union(poset, k: int) -> int:
 
 
 def reverses_order(poset, mapping: Sequence[int]) -> bool:
-    """mapping is a bijection on element indices and i <= j holds exactly
-    when mapping[j] <= mapping[i]."""
+    """mapping is a bijection on element indices and i < j holds exactly
+    when mapping[j] < mapping[i]."""
     if sorted(mapping) != list(range(poset.size)):
         return False
     return all(
-        leq(poset, i, j) == leq(poset, mapping[j], mapping[i])
+        below(poset, i, j) == below(poset, mapping[j], mapping[i])
         for i in range(poset.size)
         for j in range(poset.size)
     )
@@ -563,9 +564,9 @@ def per_vertex_antichain(strict: Sequence[int], match_left: Sequence[int]) -> tu
 
 
 def transitive_reduction(
-    leq_rows: Sequence[int], ranks: Sequence[int]
+    above_rows: Sequence[int], ranks: Sequence[int]
 ) -> tuple[int, ...]:
-    """Cover rows of an arbitrary partial order given as bitset rows.
+    """Cover rows of an arbitrary partial order given as strict bitset rows.
 
     For each element the candidates above it are scanned rank layer by
     rank layer while accumulating everything reachable through an earlier
@@ -573,19 +574,19 @@ def transitive_reduction(
     contributes nothing new since whatever sits above it arrived with its
     witness.  The scan order only affects speed, not the result.
     """
-    size = len(leq_rows)
+    size = len(above_rows)
     height = max(ranks, default=0) + 1
     layers = [0] * height
     for i, r in enumerate(ranks):
         layers[r] |= 1 << i
     rows = []
     for i in range(size):
-        strict = leq_rows[i] & ~(1 << i)
+        strict = above_rows[i]
         reached = 0
         for r in range(ranks[i] + 1, height):
             for z in iter_bits(strict & layers[r]):
                 if not reached >> z & 1:
-                    reached |= leq_rows[z] & ~(1 << z)
+                    reached |= above_rows[z]
         rows.append(strict & ~reached)
     return tuple(rows)
 
@@ -604,7 +605,7 @@ def successive_shortest_profile(poset) -> tuple[int, ...]:
     do too, so the tail is filled without flows.
     """
     size = poset.size
-    strict = [poset.leq_rows[i] & ~(1 << i) for i in range(size)]
+    strict = poset.above_rows
     source = 2 * size
     sink = 2 * size + 1
     node_count = 2 * size + 2

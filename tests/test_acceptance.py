@@ -185,7 +185,7 @@ def test_criterion_09_sperner_suite():
         ]
         for pos, a in enumerate(mapped):
             for b in mapped[pos + 1 :]:
-                if support.leq(q_poset, a, b) or support.leq(q_poset, b, a):
+                if a == b or support.below(q_poset, a, b) or support.below(q_poset, b, a):
                     problems.append(f"transferred antichain comparable at n={n}")
     conclude(9, "Sperner suite (width 8, unions 6, transfer 7)", problems)
 

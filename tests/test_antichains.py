@@ -78,8 +78,7 @@ def bipartite_inputs():
     yield path_graph(300), 300
     for n in range(1, 8):
         for poset in both_posets(n):
-            strict = [row & ~(1 << i) for i, row in enumerate(poset.leq_rows)]
-            yield strict, poset.size
+            yield poset.above_rows, poset.size
 
 
 def test_matching_size_agrees_with_networkx():
@@ -162,7 +161,7 @@ def test_max_antichain_elements_certified():
             for a in chosen:
                 for b in chosen:
                     if a != b:
-                        assert not support.leq(poset, a, b)
+                        assert not support.below(poset, a, b)
 
 
 def test_certificate_rejects_a_matching_that_is_not_maximum(monkeypatch):
@@ -220,14 +219,14 @@ def random_graded_poset(rng, size, density):
         for j in support.iter_bits(up[i] & ~(1 << i)):
             ranks[j] = max(ranks[j], ranks[i] + 1)
     label = rng.sample(range(size), size)
-    leq_rows = [0] * size
+    above_rows = [0] * size
     shuffled_ranks = [0] * size
     for i in range(size):
-        leq_rows[label[i]] = sum(1 << label[j] for j in support.iter_bits(up[i]))
+        above_rows[label[i]] = sum(1 << label[j] for j in support.iter_bits(up[i] & ~(1 << i)))
         shuffled_ranks[label[i]] = ranks[i]
-    covers = support.transitive_reduction(leq_rows, shuffled_ranks)
+    covers = support.transitive_reduction(above_rows, shuffled_ranks)
     return GradedPoset(
-        "random", size, tuple(range(size)), tuple(shuffled_ranks), tuple(leq_rows), covers
+        "random", size, tuple(range(size)), tuple(shuffled_ranks), tuple(above_rows), covers
     )
 
 
@@ -285,12 +284,12 @@ def test_profile_is_the_conjugate_of_the_rank_sizes_through_eight():
 
 
 def test_profile_ignores_ranks_that_do_not_grade_the_order():
-    # the profile reads the order rows alone, so wrong ranks change nothing
+    # the profile reads the above rows alone, so wrong ranks change nothing
     p4 = build_descent_poset(4)
     reversed_ranks = tuple(p4.height - 1 - r for r in p4.ranks)
     assert chain_cover_profile(p4._replace(ranks=reversed_ranks)) == (4, 2, 2, 2, 2, 2)
     # a 3-chain listed top first: element 0 is the top, 2 the bottom
-    chain_rows = (0b001, 0b011, 0b111)
+    chain_rows = (0b000, 0b001, 0b011)
     chain_covers = (0, 0b001, 0b010)
     upside_down = GradedPoset("chain", 3, (0, 1, 2), (0, 1, 2), chain_rows, chain_covers)
     assert chain_cover_profile(upside_down) == (3,)

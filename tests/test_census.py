@@ -262,6 +262,21 @@ def test_counters_reject_bad_masks():
         count_by_descent_set(0, 0)
 
 
+def test_counter_takes_only_int_arguments():
+    # True passed as the mask 1, and floats failed on a shift or an index
+    # with a bare TypeError
+    cases = [
+        (2, True, "int and bool"),
+        (2.0, 0, "float and int"),
+        (2, 1.0, "int and float"),
+        (True, 0, "bool and int"),
+    ]
+    for n, mask, names in cases:
+        with pytest.raises(ValueError, match=f"^n and descent mask must be ints, got {names}$"):
+            count_by_descent_set(n, mask)
+    assert count_by_descent_set(2, 1) == 1
+
+
 def test_census_capacity():
     with pytest.raises(CapacityError):
         build_census(CAPACITY["census"] + 1)

@@ -34,3 +34,41 @@ def test_each_mutant_changes_its_module_and_still_compiles():
         assert m.replacement != m.anchor and m.breaks, m.id
         text = (PACKAGE / m.file).read_text().replace(m.anchor, m.replacement)
         compile(text, m.file, "exec")
+
+
+#: The tail of a ``pytest -x -q`` run stopped by a failing parametrized
+#: test, whose captured log holds an ERROR line of its own.
+FAILED_RUN = """\
+........F
+=================================== FAILURES ===================================
+_________________ test_export_matches_reference_writers[P-9] __________________
+E       assert 'a' == 'b'
+------------------------------ Captured log call -------------------------------
+ERROR    root:writer.py:12 not the summary
+=========================== short test summary info ============================
+FAILED tests/test_poset.py::test_export_matches_reference_writers[P-9] - assert 'a' == 'b'
+FAILED tests/test_poset.py::test_later - assert 0
+!!!!!!!!!!!!!!!!!!!!!!!!!! stopping after 1 failures !!!!!!!!!!!!!!!!!!!!!!!!!!!
+1 failed, 8 passed in 0.51s
+"""
+
+#: The tail of a run stopped by a module that fails to import.
+COLLECTION_ERROR_RUN = """\
+==================================== ERRORS ====================================
+____________________ ERROR collecting tests/test_records.py ____________________
+E   TypeError: GradedPoset.__new__() got an unexpected keyword argument
+=========================== short test summary info ============================
+ERROR tests/test_records.py - TypeError: GradedPoset.__new__() got an unexpected...
+!!!!!!!!!!!!!!!!!!!!!!!!!! stopping after 1 failures !!!!!!!!!!!!!!!!!!!!!!!!!!!
+1 error in 0.40s
+"""
+
+
+def test_first_failure_reads_the_summary_only():
+    assert mutants.first_failure(FAILED_RUN) == (
+        "tests/test_poset.py::test_export_matches_reference_writers[P-9]"
+    )
+    assert mutants.first_failure(COLLECTION_ERROR_RUN) == "tests/test_records.py"
+    # a run that names no test, such as a crash before collection
+    assert mutants.first_failure("Fatal Python error: Segmentation fault\n") == ""
+    assert mutants.first_failure("") == ""

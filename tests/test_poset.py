@@ -53,30 +53,30 @@ def both_posets(n):
     return build_descent_poset(n), build_refinement_poset(n)
 
 
-def leq_by_label(poset, lower, upper):
+def below_by_label(poset, lower, upper):
     labels = [poset.label(i) for i in range(poset.size)]
-    return support.leq(poset, labels.index(lower), labels.index(upper))
+    return support.below(poset, labels.index(lower), labels.index(upper))
 
 
-def test_descent_leq_examples():
+def test_descent_below_examples():
     p = build_descent_poset(4)
-    assert leq_by_label(p, "2134", "3214")  # {1} inside {1,2}
-    assert leq_by_label(p, "2134", "2134")  # reflexive
+    assert below_by_label(p, "2134", "3214")  # {1} inside {1,2}
+    assert not below_by_label(p, "2134", "2134")  # strict
     # strictly below needs strictly smaller descent set: distinct
     # permutations sharing a descent set are incomparable
-    assert not leq_by_label(p, "2134", "3124")
-    assert not leq_by_label(p, "3124", "2134")
+    assert not below_by_label(p, "2134", "3124")
+    assert not below_by_label(p, "3124", "2134")
     # {2} is properly inside {1,2}
-    assert leq_by_label(p, "2314", "4213")
+    assert below_by_label(p, "2314", "4213")
 
 
-def test_refinement_leq_examples():
+def test_refinement_below_examples():
     q = build_refinement_poset(3)
-    assert leq_by_label(q, "{1}/{2}/{3}", "{1,2,3}")
-    assert not leq_by_label(q, "{1,2,3}", "{1}/{2}/{3}")
-    assert leq_by_label(q, "{1}/{2}/{3}", "{1}/{2}/{3}")
+    assert below_by_label(q, "{1}/{2}/{3}", "{1,2,3}")
+    assert not below_by_label(q, "{1,2,3}", "{1}/{2}/{3}")
+    assert not below_by_label(q, "{1}/{2}/{3}", "{1}/{2}/{3}")  # strict
     a, b = "{1,2}/{3}", "{1,3}/{2}"
-    assert not leq_by_label(q, a, b) and not leq_by_label(q, b, a)
+    assert not below_by_label(q, a, b) and not below_by_label(q, b, a)
 
 
 def test_elements_listed_in_enumeration_order():
@@ -102,17 +102,16 @@ def test_poset_axioms():
         for poset in both_posets(n):
             size = poset.size
             for i in range(size):
-                row = poset.leq_rows[i]
-                assert row >> i & 1  # reflexive
+                row = poset.above_rows[i]
+                assert not row >> i & 1  # irreflexive
                 probe = row
                 while probe:
                     low = probe & -probe
                     j = low.bit_length() - 1
                     probe ^= low
-                    if i != j:
-                        assert not poset.leq_rows[j] >> i & 1  # antisymmetric
+                    assert not poset.above_rows[j] >> i & 1  # antisymmetric
                     # transitive: everything above j is above i
-                    assert poset.leq_rows[j] & ~row == 0
+                    assert poset.above_rows[j] & ~row == 0
 
 
 def test_matrix_matches_predicate():
@@ -122,11 +121,12 @@ def test_matrix_matches_predicate():
         for i in range(p.size):
             for j in range(p.size):
                 proper = masks[i] != masks[j] and masks[i] & ~masks[j] == 0
-                assert support.leq(p, i, j) == (i == j or proper)
+                assert support.below(p, i, j) == proper
         parts = [x.blocks for x in enumerate_ncp(n)]
         for i in range(q.size):
             for j in range(q.size):
-                assert support.leq(q, i, j) == support.brute_refines(parts[i], parts[j])
+                refines = support.brute_refines(parts[i], parts[j])
+                assert support.below(q, i, j) == (i != j and refines)
 
 
 def test_covers_match_generic_reduction():
@@ -134,7 +134,7 @@ def test_covers_match_generic_reduction():
     # checks the one-rank-up cover rule at every size the builders accept
     for n in range(1, 10):
         for poset in both_posets(n):
-            reduced = support.transitive_reduction(poset.leq_rows, poset.ranks)
+            reduced = support.transitive_reduction(poset.above_rows, poset.ranks)
             assert tuple(reduced) == tuple(poset.cover_rows)
 
 
@@ -147,14 +147,15 @@ def test_refinement_rows_on_shuffled_sub_lists():
         for _ in range(20):
             sub = rng.sample(family, rng.randint(1, min(len(family), 40)))
             # repeats share one holder row, so each copy's bit must be set
-            # in every row above it
+            # in every row above it, its twins' rows among them
             sub += rng.choices(sub, k=rng.randint(0, 5))
             rng.shuffle(sub)
             rows = refinement_rows(n, [SetPartition(n, blocks) for blocks in sub])
             for k, row in enumerate(rows):
                 assert row >> len(sub) == 0
                 for j in range(len(sub)):
-                    assert (row >> j & 1) == support.brute_refines(sub[k], sub[j])
+                    refines = support.brute_refines(sub[k], sub[j])
+                    assert (row >> j & 1) == (j != k and refines)
 
 
 def test_descent_classes_share_one_cover_row():
@@ -162,6 +163,23 @@ def test_descent_classes_share_one_cover_row():
     # 4,862 elements of P9 hold at most one cover row per descent set
     p = build_descent_poset(9)
     assert len({id(row) for row in p.cover_rows}) <= 1 << 8
+
+
+def test_above_rows_are_strict_and_shared_by_each_descent_class():
+    # x < y in P depends only on the two descent sets, so each class's
+    # members hold one row object; from n = 4 on no row is a cached small
+    # int, so the 2**(n - 1) classes hold exactly 2**(n - 1) objects
+    for n in range(1, CAPACITY["poset construction"] + 1):
+        p, q = both_posets(n)
+        for poset in p, q:
+            assert not any(row >> i & 1 for i, row in enumerate(poset.above_rows))
+        classes = {}
+        for row, perm in zip(p.above_rows, p.elements):
+            classes.setdefault(descent_mask(perm), set()).add(id(row))
+        assert len(classes) == 1 << (n - 1)
+        assert all(len(ids) == 1 for ids in classes.values())
+        if n >= 4:
+            assert len(set(map(id, p.above_rows))) == 1 << (n - 1)
 
 
 def test_cover_edges_step_one_rank():
@@ -172,7 +190,7 @@ def test_cover_edges_step_one_rank():
             has_down = [False] * poset.size
             for lower, upper in support.cover_pairs(poset):
                 assert poset.ranks[upper] == poset.ranks[lower] + 1
-                assert support.leq(poset, lower, upper)
+                assert support.below(poset, lower, upper)
                 has_up[lower] = True
                 has_down[upper] = True
             for i in range(poset.size):
@@ -198,11 +216,11 @@ def test_rank_sizes_are_narayana():
 def test_refinement_poset_matches_reference_builder(n):
     # refinement_rows and the one-rank-up cover rule against the former
     # tuple-merge builder and its upward closure
-    elements, ranks, leq_rows, cover_rows = support.reference_refinement_poset(n)
+    elements, ranks, up_rows, cover_rows = support.reference_refinement_poset(n)
     q = build_refinement_poset(n)
     assert tuple(x.blocks for x in q.elements) == elements
     assert q.ranks == ranks
-    assert q.leq_rows == leq_rows
+    assert q.above_rows == tuple(row ^ 1 << i for i, row in enumerate(up_rows))
     assert q.cover_rows == cover_rows
 
 
@@ -215,8 +233,8 @@ def test_size_four_descent_poset_shape():
     assert [p.label(i) for i in bottoms] == ["1234"]
     assert [p.label(i) for i in tops] == ["4321"]
     # bottom below everything, top above everything
-    assert all(support.leq(p, bottoms[0], j) for j in range(p.size))
-    assert all(support.leq(p, j, tops[0]) for j in range(p.size))
+    assert all(support.below(p, bottoms[0], j) for j in range(p.size) if j != bottoms[0])
+    assert all(support.below(p, j, tops[0]) for j in range(p.size) if j != tops[0])
 
 
 def test_refinement_poset_extremes():
@@ -311,7 +329,7 @@ def test_cover_and_comparable_counts_are_the_closed_forms(n):
         while extra:
             above += census[s] * census[s | extra]
             extra = (extra - 1) & rest
-    assert sum(row.bit_count() for row in p.leq_rows) == math.comb(2 * n, n) // (n + 1) + above
+    assert sum(row.bit_count() for row in p.above_rows) == above
 
 
 @pytest.mark.parametrize("n", range(1, CAPACITY["poset construction"] + 1))
@@ -356,7 +374,7 @@ def test_export_lists_each_row_by_its_whole_value():
         n=size,
         elements=tuple((i + 1,) for i in range(size)),
         ranks=ranks,
-        leq_rows=tuple(row | 1 << i for i, row in enumerate(rows)),
+        above_rows=tuple(rows),
         cover_rows=tuple(rows),
     )
     assert poset_to_json(poset) == support.reference_poset_json(poset)
@@ -371,7 +389,7 @@ def _unordered(family, elements):
     """The antichain on elements: a poset whose labels are all that counts."""
     size = len(elements)
     return GradedPoset(
-        family, size, tuple(elements), (0,) * size, tuple(1 << i for i in range(size)), (0,) * size
+        family, size, tuple(elements), (0,) * size, (0,) * size, (0,) * size
     )
 
 

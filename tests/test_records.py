@@ -11,7 +11,7 @@ from catalan_posets.poset import GradedPoset, build_descent_poset
 from catalan_posets.verify import VerificationReport
 
 CHAIN = dict(
-    family="chain", n=2, elements=(0, 1), ranks=(0, 1), leq_rows=(3, 2), cover_rows=(2, 0)
+    family="chain", n=2, elements=(0, 1), ranks=(0, 1), above_rows=(2, 0), cover_rows=(2, 0)
 )
 
 
@@ -55,7 +55,7 @@ def test_records_print_their_fields_by_name():
     assert repr(q) == "SetPartition(n=3, blocks=((1,), (2, 3)))"
     assert repr(GradedPoset(**CHAIN)) == (
         "GradedPoset(family='chain', n=2, elements=(0, 1), ranks=(0, 1), "
-        "leq_rows=(3, 2), cover_rows=(2, 0))"
+        "above_rows=(2, 0), cover_rows=(2, 0))"
     )
     assert repr(VerificationReport("ranks", 5, 10)) == (
         "VerificationReport(name='ranks', n=5, examined=10, violations=(), elapsed=0.0)"
@@ -75,7 +75,7 @@ def test_replace_copies_with_one_field_changed():
     assert report._replace(n=6) == VerificationReport("ranks", 6, 10)
     chain = GradedPoset(**CHAIN)
     assert chain._replace(ranks=(1, 0)).ranks == (1, 0)
-    assert chain._replace(ranks=(1, 0)).leq_rows == chain.leq_rows
+    assert chain._replace(ranks=(1, 0)).above_rows == chain.above_rows
 
 
 def test_partition_validates_by_keyword_and_on_replace_but_not_when_trusted():

@@ -118,9 +118,10 @@ def test_sperner_transfer_walks_rows_only_while_its_report_keeps_details(monkeyp
     n = CAPACITY["sperner-transfer"]
     sizes = []
 
-    def all_ones(_n, images):
+    def all_others(_n, images):
         sizes.append(len(images))
-        return [(1 << len(images)) - 1] * len(images)
+        every = (1 << len(images)) - 1
+        return [every ^ 1 << k for k in range(len(images))]
 
     calls = []
 
@@ -128,7 +129,7 @@ def test_sperner_transfer_walks_rows_only_while_its_report_keeps_details(monkeyp
         calls.append(message)
         note_violation(violations, message)
 
-    monkeypatch.setattr(verify, "refinement_rows", all_ones)
+    monkeypatch.setattr(verify, "refinement_rows", all_others)
     monkeypatch.setattr(verify, "note_violation", counted)
     report = check_sperner_transfer(n)
     [size] = sizes
@@ -174,7 +175,7 @@ def test_sperner_lines_fail_on_a_cut_loose_bottom(monkeypatch):
     true = build_descent_poset(5)
     assert true.label(0) == "12345" and true.rank_sizes() == (1, 10, 20, 10, 1)
     broken = true._replace(
-        leq_rows=(1,) + true.leq_rows[1:], cover_rows=(0,) + true.cover_rows[1:]
+        above_rows=(0,) + true.above_rows[1:], cover_rows=(0,) + true.cover_rows[1:]
     )
     assert max_antichain(broken) == 21
     monkeypatch.setattr(verify, "build_descent_poset", lambda _n: broken)
@@ -195,7 +196,7 @@ def test_sperner_width_fails_on_a_cut_loose_bottom_at_its_cap(monkeypatch):
     true = build_descent_poset(n)
     assert max(true.rank_sizes()) == narayana(n, 5) == 1764
     broken = true._replace(
-        leq_rows=(1,) + true.leq_rows[1:], cover_rows=(0,) + true.cover_rows[1:]
+        above_rows=(0,) + true.above_rows[1:], cover_rows=(0,) + true.cover_rows[1:]
     )
     monkeypatch.setattr(
         verify, "build_descent_poset", lambda m: broken if m == n else build_descent_poset(m)
@@ -401,7 +402,7 @@ def test_order_reversal_exhaustive():
         mapping = construct_antiautomorphism(n)
         for i in range(poset.size):
             for j in range(poset.size):
-                assert support.leq(poset, i, j) == support.leq(poset, mapping[j], mapping[i])
+                assert support.below(poset, i, j) == support.below(poset, mapping[j], mapping[i])
 
 
 def test_rank_flip():
@@ -493,7 +494,7 @@ def order_reversal_breaks(poset, mapping):
     the check's order, one at a time, so that a caller may stop early."""
     for i in range(poset.size):
         for j in range(poset.size):
-            if support.leq(poset, i, j) != support.leq(poset, mapping[j], mapping[i]):
+            if support.below(poset, i, j) != support.below(poset, mapping[j], mapping[i]):
                 yield f"({poset.label(i)}, {poset.label(j)}) breaks order reversal"
 
 
@@ -560,18 +561,18 @@ def test_self_duality_reports_broken_pairings(monkeypatch, n):
 @pytest.mark.parametrize("n", [4, 7])
 def test_self_duality_reports_a_flipped_order_bit(monkeypatch, n):
     # the image side comes from descent masks, so a wrong order row must
-    # still be caught through the up-rows
+    # still be caught through the above rows
     true = build_descent_poset(n)
     mapping = construct_antiautomorphism(n)
     i = next(i for i in range(true.size) if true.ranks[i] == 1)
     j = next(
         j
         for j in range(true.size)
-        if true.ranks[j] == n - 2 and not support.leq(true, i, j) and mapping[j] != i
+        if true.ranks[j] == n - 2 and not support.below(true, i, j) and mapping[j] != i
     )
-    rows = list(true.leq_rows)
+    rows = list(true.above_rows)
     rows[i] ^= 1 << j
-    broken = true._replace(leq_rows=tuple(rows))
+    broken = true._replace(above_rows=tuple(rows))
     monkeypatch.setattr(verify, "build_descent_poset", lambda _n: broken)
     report = check_self_duality(n)
     assert report.passed is False
@@ -602,11 +603,9 @@ def test_self_duality_formats_only_the_pairs_its_report_keeps(monkeypatch):
 
 
 def strict_refinement_pairs(q_poset):
-    """support.strict_pairs in the same order, read off each order row bit
+    """support.strict_pairs in the same order, read off each above row bit
     by bit, so that it stays fast at the poset cap."""
-    return [
-        (a, b) for a, row in enumerate(q_poset.leq_rows) for b in support.iter_bits(row) if a != b
-    ]
+    return [(a, b) for a, row in enumerate(q_poset.above_rows) for b in support.iter_bits(row)]
 
 
 def pairwise_coarsening_violations(n):

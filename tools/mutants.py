@@ -16,9 +16,11 @@ in the copy, with the copy's src on PYTHONPATH.  A failing run kills the
 mutant.  tests/test_mutants.py is left out of that run: it reads this
 table, so every mutant, which removes its own anchor, would fail it.
 The unmutated copy runs first and must pass, or no verdict would mean
-anything.  One line per mutant says killed, survived or equivalent.  The
-exit status is 1 when a mutant not marked equivalent survives or an
-anchor does not occur exactly once.
+anything.  One line per mutant says killed, survived or equivalent, and
+a killed one's line ends with the first test that failed, the first
+FAILED or ERROR node id of the run's summary.  The exit status is 1 when
+a mutant not marked equivalent survives or an anchor does not occur
+exactly once.
 
 A killed mutant takes a few seconds and a survivor a whole suite run, so
 the script is run by hand and is no part of the suite.  Only the
@@ -81,6 +83,13 @@ MUTANTS = (
         "the certificate keeps elements whose right copy was reached",
     ),
     Mutant(
+        "profile-own-copy",
+        "antichains.py",
+        "above = [row | 1 << x for x, row in enumerate(product[offset:], offset)]",
+        "above = product[offset:]",
+        "P x C_k loses each element's copy below it, so its levels are no chains",
+    ),
+    Mutant(
         "start-validation",
         "antichains.py",
         "if not adjacency[u] >> v & 1 or match_right[v] != -1:",
@@ -128,6 +137,13 @@ MUTANTS = (
         "mask < 1 << (n - 1)",
         "mask <= 1 << (n - 1)",
         "a mask one past the last position fails on the census index, not on the range",
+    ),
+    Mutant(
+        "counter-int-type",
+        "census.py",
+        "if type(n) is not int or type(mask) is not int:",
+        "if False:",
+        "count_by_descent_set takes True as the mask 1 and fails on floats with a TypeError",
     ),
     Mutant(
         "backward-descent",
@@ -348,10 +364,24 @@ MUTANTS = (
         "P's cover rows look for covers at the class's own rank, where there are none",
     ),
     Mutant(
+        "refinement-own-bit",
+        "poset.py",
+        "row = every ^ (1 << k)",
+        "row = every",
+        "Q's above rows, and sperner-transfer's, hold their own bit",
+    ),
+    Mutant(
+        "descent-own-bit",
+        "poset.py",
+        "rows = tuple(above[full ^ m] for m in masks)",
+        "rows = tuple(above[full ^ m] | 1 << i for i, m in enumerate(masks))",
+        "P's above rows hold their own bit, one row object per element",
+    ),
+    Mutant(
         "refinement-cover-dropped",
         "poset.py",
-        "covers = tuple(row & layers[r + 1] for row, r in zip(leq_rows, ranks))",
-        "covers = tuple(row & layers[r + 1] for row, r in zip(leq_rows, ranks))\n"
+        "covers = tuple(row & layers[r + 1] for row, r in zip(rows, ranks))",
+        "covers = tuple(row & layers[r + 1] for row, r in zip(rows, ranks))\n"
         "    covers = (*covers[:-1], covers[-1] & covers[-1] - 1)",
         "Q's finest partition loses its lowest cover, so Q has one cover too few",
     ),
@@ -379,30 +409,23 @@ MUTANTS = (
     Mutant(
         "coarsening-shrink",
         "verify.py",
-        "if bad != 1 << i and",
-        "if False and",
+        "bad = row & outside[mask]\n        if bad and",
+        "bad = row & outside[mask]\n        if False and",
         "coarsening reports no pair",
     ),
     Mutant(
         "coarsening-last-row",
         "verify.py",
-        "enumerate(zip(q_poset.leq_rows, fmask))",
-        "enumerate(zip(q_poset.leq_rows[:-1], fmask))",
+        "enumerate(zip(q_poset.above_rows, fmask))",
+        "enumerate(zip(q_poset.above_rows[:-1], fmask))",
         "coarsening skips the finest partition's row, every pair above it",
     ),
     Mutant(
         "selfdual-detail-guard",
         "verify.py",
-        "if bad and len(violations) <= MAX_VIOLATION_DETAILS:",
-        "if bad:",
+        "inside[masks[image]]\n        if bad and len(violations) <= MAX_VIOLATION_DETAILS:",
+        "inside[masks[image]]\n        if bad:",
         "selfdual formats every broken pair of every row, kept or not",
-    ),
-    Mutant(
-        "selfdual-own-bit",
-        "verify.py",
-        "^ inside[masks[image]] ^ (1 << i)",
-        "^ inside[masks[image]]",
-        "selfdual reports each element as breaking order reversal with itself",
     ),
     Mutant(
         "pairing-targets-reversed",
@@ -497,9 +520,21 @@ def anchor_counts() -> dict[str, int]:
     return {m.id: texts.get(m.file, "").count(m.anchor) for m in MUTANTS}
 
 
-def suite_passes(mutant: Mutant | None) -> bool:
-    """Whether the suite passes on a copy of the repository with mutant
-    applied (none: the copy as it is)."""
+def first_failure(output: str) -> str:
+    """The node id of the first FAILED or ERROR line of a pytest run's
+    short test summary, or "" when it has none.  Lines before the
+    summary's header, such as captured log lines, are not read."""
+    for line in output.rpartition("short test summary info")[2].splitlines():
+        outcome, _, rest = line.partition(" ")
+        if outcome in ("FAILED", "ERROR") and rest:
+            return rest.split(" - ", 1)[0]
+    return ""
+
+
+def suite_failure(mutant: Mutant | None) -> str | None:
+    """None when the suite passes on a copy of the repository with mutant
+    applied (none: the copy as it is), or else what failed first: a node
+    id, "timeout", or the exit status when no summary names a test."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as temp:
         tree = Path(temp) / "repo"
         shutil.copytree(
@@ -522,8 +557,11 @@ def suite_passes(mutant: Mutant | None) -> bool:
                 command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT
             )
         except subprocess.TimeoutExpired:
-            return False
-        return result.returncode == 0
+            return "timeout"
+        if result.returncode == 0:
+            return None
+        output = result.stdout.decode(errors="replace")
+        return first_failure(output) or f"exit status {result.returncode}"
 
 
 def main() -> int:
@@ -532,12 +570,14 @@ def main() -> int:
     if bad:
         print(f"anchors that do not occur exactly once: {', '.join(bad)}", file=sys.stderr)
         return 1
-    if not suite_passes(None):
-        print("the unmutated copy fails its tests; no verdict", file=sys.stderr)
+    failure = suite_failure(None)
+    if failure is not None:
+        print(f"the unmutated copy fails its tests ({failure}); no verdict", file=sys.stderr)
         return 1
     tally = {"killed": 0, "survived": 0, "equivalent": 0}
     for m in MUTANTS:
-        if not suite_passes(m):
+        failure = suite_failure(m)
+        if failure is not None:
             verdict = "killed"
         elif m.equivalent:
             verdict = "equivalent"
@@ -545,7 +585,8 @@ def main() -> int:
             verdict = "survived"
         tally[verdict] += 1
         note = m.equivalent if verdict == "equivalent" else m.breaks
-        print(f"{verdict:10}  {m.id:34}  {m.file:16}  {note}", flush=True)
+        killer = f"  by {failure}" if failure is not None else ""
+        print(f"{verdict:10}  {m.id:34}  {m.file:16}  {note}{killer}", flush=True)
     print(", ".join(f"{count} {verdict}" for verdict, count in tally.items()))
     return 1 if tally["survived"] else 0
 
