@@ -87,7 +87,7 @@ MUTANTS = (
         "antichains.py",
         "above = [row | 1 << x for x, row in enumerate(product[offset:], offset)]",
         "above = product[offset:]",
-        "P x C_k loses each element's copy below it, so its levels are no chains",
+        "P x C_k drops the order between an element's copies, so its antichains grow",
     ),
     Mutant(
         "start-validation",
@@ -578,15 +578,13 @@ def main() -> int:
     for m in MUTANTS:
         failure = suite_failure(m)
         if failure is not None:
-            verdict = "killed"
+            verdict, note = "killed", f"{m.breaks}  by {failure}"
         elif m.equivalent:
-            verdict = "equivalent"
+            verdict, note = "equivalent", m.equivalent
         else:
-            verdict = "survived"
+            verdict, note = "survived", m.breaks
         tally[verdict] += 1
-        note = m.equivalent if verdict == "equivalent" else m.breaks
-        killer = f"  by {failure}" if failure is not None else ""
-        print(f"{verdict:10}  {m.id:34}  {m.file:16}  {note}{killer}", flush=True)
+        print(f"{verdict:10}  {m.id:34}  {m.file:16}  {note}", flush=True)
     print(", ".join(f"{count} {verdict}" for verdict, count in tally.items()))
     return 1 if tally["survived"] else 0
 
