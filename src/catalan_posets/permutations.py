@@ -159,11 +159,22 @@ def format_permutation(entries: Sequence[int]) -> str:
     return _join_permutation(check_permutation(entries))
 
 
+#: The entries 1..9, and the table that turns each, as a byte, into its digit.
+_ONE_TO_NINE = frozenset(range(1, 10))
+_DIGITS = bytes.maketrans(bytes(range(1, 10)), b"123456789")
+
+
 def _join_permutation(p: tuple[int, ...]) -> str:
-    # format_permutation without validation, for tuples the package built
-    if len(p) <= 9:
-        return "".join(map(str, p))
-    return ",".join(map(str, p))
+    # format_permutation without validation, for tuples the package built.
+    # With entries 1..9 the text is the entries as bytes, each translated
+    # to its digit: P8's 1,430 labels in 0.6 ms, where joining each entry's
+    # str took 1.6 ms (Python 3.11, shared 2-vCPU machine).  Any other
+    # entry keeps its str, since as a byte it would be no digit.
+    if len(p) > 9:
+        return ",".join(map(str, p))
+    if _ONE_TO_NINE.issuperset(p):
+        return bytes(p).translate(_DIGITS).decode()
+    return "".join(map(str, p))
 
 
 def _decimal_list(text: str) -> list[str] | None:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from catalan_posets import antichains, cli
 from catalan_posets.cli import build_parser, main
 from catalan_posets.errors import CAPACITY
+from catalan_posets.poset import build_descent_poset, poset_to_json
 from catalan_posets.verify import CHECKS, VerificationReport
 
 #: The package's source directory: child interpreters started there
@@ -136,6 +137,38 @@ def test_stdout_swapped_for_in_memory_stream(binary):
         assert main(["enumerate", "ncp", "--n", "2"]) == 0
     out.seek(0)
     assert out.read() == "{1,4,6}/{2,3}/{5}/{7,8}\n{1,2}\n{1}/{2}\n"
+
+
+class Counting:
+    """A stream that counts its write calls."""
+
+    calls = 0
+
+    def write(self, data):
+        self.calls += 1
+        return super().write(data)
+
+
+class CountingBytes(Counting, io.BytesIO):
+    pass
+
+
+class CountingText(Counting, io.StringIO):
+    pass
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary-layer", "text-only"])
+def test_stdout_takes_pieces_of_64_kib(binary):
+    # P8's JSON is 2,657,369 bytes in 1,432 cover-row chunks; in pieces of
+    # at least 65,536 bytes it takes at most 41 writes
+    counted = CountingBytes() if binary else CountingText()
+    out = io.TextIOWrapper(counted, encoding="utf-8") if binary else counted
+    with contextlib.redirect_stdout(out):
+        assert main(["poset", "P", "--n", "8", "--format", "json"]) == 0
+    expected = poset_to_json(build_descent_poset(8))
+    written = counted.getvalue()
+    assert (written.decode() if binary else written) == expected
+    assert counted.calls <= -(-len(expected) // 65536) == 41
 
 
 def test_map_single_block(capsys):

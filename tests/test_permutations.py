@@ -11,6 +11,7 @@ from catalan_posets.errors import CAPACITY, CapacityError
 from catalan_posets.permutations import (
     _av132_sorted,
     _av132_text,
+    _join_permutation,
     check_permutation,
     descent_mask,
     enumerate_av132,
@@ -132,6 +133,17 @@ def test_format_permutation_both_widths():
     assert format_permutation((6, 4, 5, 7, 3, 8, 1, 2)) == "64573812"
     eleven = tuple(range(11, 0, -1))
     assert format_permutation(eleven) == "11,10,9,8,7,6,5,4,3,2,1"
+
+
+def test_short_labels_translated_as_bytes_are_the_joined_entries():
+    # entries 1..9 go through the byte table; any other entry of a short
+    # tuple keeps its str, since as a byte it is no digit (10 is a newline)
+    for n in range(1, 9):
+        for p in permutations(range(1, n + 1)):
+            assert _join_permutation(p) == "".join(map(str, p))
+    for p in [(70,), (10,), (0, 1), (1, 12)]:
+        assert _join_permutation(p) == "".join(map(str, p))
+    assert _join_permutation(tuple(range(10, 0, -1))) == "10,9,8,7,6,5,4,3,2,1"
 
 
 def test_own_permutations_format_unchanged_without_revalidation(monkeypatch, capsys):

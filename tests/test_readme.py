@@ -2,7 +2,8 @@
 through the CLI; the lines under it are its stdout (the first N with
 ``| head -N``).  Commands that write to ``--output`` are left out.  The
 caps in README's check table and in its paragraph on the caps are
-compared with CAPACITY."""
+compared with CAPACITY, and its density rule for listing a row with
+poset._FEW_BITS."""
 
 import re
 import shlex
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from catalan_posets import poset
 from catalan_posets.cli import main
 from catalan_posets.errors import CAPACITY
 from catalan_posets.verify import CHECKS
@@ -78,3 +80,11 @@ def test_caps_paragraph_is_the_capacity_table():
         "ranks",
         "lemma",
     ]
+
+
+def test_density_rule_is_the_iter_bits_constant():
+    # README states the rule and where its two routes cross; the route
+    # test reads the constant, so only this text pins its value
+    text = " ".join(README.split())
+    stated = re.findall(r"(?:fewer than|near) (\d+) set bits", text)
+    assert stated == [str(poset._FEW_BITS)] * 2

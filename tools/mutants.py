@@ -209,6 +209,13 @@ MUTANTS = (
         "a failed antichain certificate ends verify in a traceback",
     ),
     Mutant(
+        "write-batch",
+        "cli.py",
+        "pieces = _pieces(chunks)",
+        "pieces = chunks",
+        "_write hands each chunk to the stream on its own, one write per cover row",
+    ),
+    Mutant(
         "capacity-off-by-one",
         "errors.py",
         "if n > cap:",
@@ -291,7 +298,14 @@ MUTANTS = (
         "permutations.py",
         "if type(x) is not int or not 1 <= x <= n:",
         "if not isinstance(x, int) or not 1 <= x <= n:",
-        "a permutation takes True as the entry 1 and formats it as True",
+        "a permutation takes True as the entry 1",
+    ),
+    Mutant(
+        "label-guard",
+        "permutations.py",
+        "if _ONE_TO_NINE.issuperset(p):",
+        "if True:",
+        "a short tuple with an entry outside 1..9 is labelled by its bytes, 10 as a newline",
     ),
     Mutant(
         "reverse-complement-no-complement",
@@ -391,6 +405,13 @@ MUTANTS = (
         "_FEW_BITS = 16",
         "_FEW_BITS = 0",
         "sparse rows go through the digit scan, which the route test pins",
+    ),
+    Mutant(
+        "few-bits-8",
+        "poset.py",
+        "_FEW_BITS = 16",
+        "_FEW_BITS = 8",
+        "iter_bits keeps the digit scan for rows of 8 to 15 set bits, not README's rule",
     ),
     Mutant(
         "violation-cap",
